@@ -9,11 +9,10 @@ import (
 	"aptget/internal/wire"
 )
 
-// entry is one cached plan set.
+// entry is one cached plan set under the key it is indexed by.
 type entry struct {
-	key    Key
-	plans  []byte // canonical wire plan-set bytes
-	source wire.Fingerprint
+	key Key
+	Entry
 }
 
 // Local is the in-memory Backend: a bounded LRU of plan sets with three
@@ -80,8 +79,7 @@ func (b *Local) Lookup(fp wire.Fingerprint) (Entry, bool) {
 		return Entry{}, false
 	}
 	b.ll.MoveToFront(el)
-	e := el.Value.(*entry)
-	return Entry{Plans: e.plans, Source: e.source}, true
+	return el.Value.(*entry).Entry, true
 }
 
 // LookupKey finds plans by exact key.
@@ -93,8 +91,7 @@ func (b *Local) LookupKey(key Key) (Entry, bool) {
 		return Entry{}, false
 	}
 	b.ll.MoveToFront(el)
-	e := el.Value.(*entry)
-	return Entry{Plans: e.plans, Source: e.source}, true
+	return el.Value.(*entry).Entry, true
 }
 
 // LookupShape finds the most recently stored same-shape entry.
@@ -109,22 +106,26 @@ func (b *Local) LookupShape(shape wire.ShapeHash) (Entry, bool) {
 		return Entry{}, false
 	}
 	b.ll.MoveToFront(el)
-	e := el.Value.(*entry)
-	return Entry{Plans: e.plans, Source: e.source}, true
+	return el.Value.(*entry).Entry, true
 }
 
 // Put stores plans under key at the LRU front, evicting past capacity.
 // An insert whose fingerprint is already cached — a racing identical
 // insert, a replication push, or a shape upgrade of a fingerprint-only
 // handoff alias — refreshes the surviving element in place and repoints
-// the fingerprint and shape indexes at it.
+// the fingerprint and shape indexes at it. A refresh that is not
+// Validated keeps the element's validation: it is a property of the
+// profile bytes behind the fingerprint, not of the plans.
 func (b *Local) Put(key Key, e Entry) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 
 	if el, ok := b.byFP[key.Profile]; ok {
 		en := el.Value.(*entry)
-		en.plans, en.source = e.Plans, e.Source
+		if !e.Validated() {
+			e.App, e.Shape = en.App, en.Shape
+		}
+		en.Entry = e
 		if key.Shape != "" && en.key != key {
 			// Re-index under the richer key (a handoff alias learning its
 			// shape, or a pathological shape change): drop the old key and
@@ -143,7 +144,7 @@ func (b *Local) Put(key Key, e Entry) {
 		return
 	}
 
-	el := b.ll.PushFront(&entry{key: key, plans: e.Plans, source: e.Source})
+	el := b.ll.PushFront(&entry{key: key, Entry: e})
 	b.byKey[key] = el
 	b.byFP[key.Profile] = el
 	if key.Shape != "" {

@@ -32,12 +32,26 @@ type Key struct {
 	Shape   wire.ShapeHash
 }
 
-// Entry is one stored plan set: the canonical wire plan-set bytes and
-// the fingerprint of the profile they were computed from.
+// Entry is one stored plan set: the canonical wire plan-set bytes, the
+// fingerprint of the profile they were computed from, and what an
+// ingest reply echoes about them.
 type Entry struct {
 	Plans  []byte
 	Source wire.Fingerprint
+	// Count is the number of plans in Plans, so a reply never decodes
+	// them.
+	Count int
+	// App and Shape describe the profile stored under the entry's
+	// fingerprint, as this daemon's own decoding ingest found it. Only
+	// that ingest sets them; replicas and handoffs arrive without them.
+	App   string
+	Shape wire.ShapeHash
 }
+
+// Validated reports whether this daemon decoded and validated the
+// profile bytes behind the entry's fingerprint, so that a repeat of
+// exactly those bytes can be served by their hash alone.
+func (e Entry) Validated() bool { return e.App != "" }
 
 // Backend is the storage layer under the Store's policies. Lookups do
 // not count hits or misses — the policy layer owns that accounting.
@@ -119,10 +133,9 @@ type Result struct {
 
 // call is one in-flight computation other requests can wait on.
 type call struct {
-	done  chan struct{}
-	plans []byte
-	src   wire.Fingerprint
-	err   error
+	done chan struct{}
+	e    Entry
+	err  error
 }
 
 // Store layers single-flight and stale-shape matching over a Backend.
@@ -208,6 +221,7 @@ func (s *Store) Get(fp wire.Fingerprint) (Entry, bool) {
 	// Cache the handed-off plans under a fingerprint-only key; a later
 	// ingest of the same profile upgrades the entry with its shape. Local
 	// only — the plans just came from a peer.
+	e = labelled(Key{Profile: fp}, "", e)
 	s.PutLocal(Key{Profile: fp}, e)
 	return e, true
 }
@@ -217,6 +231,21 @@ func (s *Store) Get(fp wire.Fingerprint) (Entry, bool) {
 // not recurse into another round of handoffs).
 func (s *Store) GetLocal(fp wire.Fingerprint) (Entry, bool) {
 	return s.backend.Lookup(fp)
+}
+
+// Hit serves a repeat of profile bytes this daemon's own ingest already
+// decoded and validated, by fingerprint alone, and counts a hit. An
+// entry that is not Validated — a replica, a handoff alias — does not
+// qualify: nothing here has checked the bytes behind its fingerprint,
+// so the caller must decode and go through Ingest or TryGet, which
+// validate and upgrade it. A miss counts nothing.
+func (s *Store) Hit(fp wire.Fingerprint) (Entry, bool) {
+	e, ok := s.backend.Lookup(fp)
+	if !ok || !e.Validated() {
+		return Entry{}, false
+	}
+	s.count(&s.hits, "plan_cache_hits")
+	return e, true
 }
 
 // Put stores externally computed plans (aggregated analyses) under key,
@@ -236,40 +265,91 @@ func (s *Store) PutLocal(key Key, e Entry) {
 	s.backend.Put(key, e)
 }
 
+// labelled is the entry an ingest of key stores and serves: e's plans,
+// marked Validated for key's profile when app (the application the
+// decoded profile named) is set, and carrying no ingest metadata
+// otherwise — another profile's App and Shape never carry over.
+func labelled(key Key, app string, e Entry) Entry {
+	out := Entry{Plans: e.Plans, Source: e.Source, Count: e.Count}
+	if app != "" {
+		out.App, out.Shape = app, key.Shape
+	}
+	return out
+}
+
+// exactHit finishes an exact-key hit on e. When this ingest decoded the
+// profile (app set) and e was not yet Validated — a replica — it marks
+// the entry, so the next repeat of these bytes is a hash-only Hit.
+func (s *Store) exactHit(key Key, app string, e Entry) (Entry, Result) {
+	if app != "" && !e.Validated() {
+		e = labelled(key, app, e)
+		s.PutLocal(key, e)
+	}
+	return e, Result{Outcome: OutcomeHit, Source: e.Source}
+}
+
+// staleMatch serves src's plans for key and aliases them under key, so
+// the follow-up GET (and repeat ingests of this exact profile) hit
+// exactly. Called outside s.mu: Put may push to peers (network I/O), and
+// a racing duplicate alias is idempotent.
+func (s *Store) staleMatch(key Key, app string, src Entry) (Entry, Result) {
+	alias := labelled(key, app, src)
+	s.backend.Put(key, alias)
+	return alias, Result{Outcome: OutcomeStaleMatch, Source: src.Source}
+}
+
 // TryGet serves key from the cache or a same-shape stale entry without
 // ever computing: the aggregation ingest path uses it to give cached
-// profiles the normal hit/stale accounting before joining a window.
-func (s *Store) TryGet(key Key) ([]byte, Result, bool) {
+// profiles the normal hit/stale accounting before joining a window. app
+// is the application the decoded profile named, as for Ingest.
+func (s *Store) TryGet(key Key, app string) (Entry, Result, bool) {
 	s.mu.Lock()
 	if e, ok := s.backend.LookupKey(key); ok {
 		s.count(&s.hits, "plan_cache_hits")
 		s.mu.Unlock()
-		return e.Plans, Result{Outcome: OutcomeHit, Source: e.Source}, true
+		e, res := s.exactHit(key, app, e)
+		return e, res, true
 	}
 	if e, ok := s.backend.LookupShape(key.Shape); ok {
 		s.count(&s.staleMatches, "plan_cache_stale_matches")
 		s.mu.Unlock()
-		// Alias outside the lock: Put may push to peers (network I/O), and
-		// a racing duplicate alias is idempotent.
-		s.backend.Put(key, Entry{Plans: e.Plans, Source: e.Source})
-		return e.Plans, Result{Outcome: OutcomeStaleMatch, Source: e.Source}, true
+		e, res := s.staleMatch(key, app, e)
+		return e, res, true
 	}
 	s.mu.Unlock()
-	return nil, Result{}, false
+	return Entry{}, Result{}, false
 }
 
-// GetOrCompute serves key from the cache, from a same-shape stale entry,
-// from an in-flight computation of the same key, from a sibling shard's
-// cache (handoff-capable backends), or — exactly once per key — by
-// running compute. compute runs without the store lock held.
+// GetOrCompute is Ingest for a caller that holds only plan bytes and no
+// decoded profile to vouch for: nothing it stores is Validated, and the
+// stored entries carry no plan count.
 func (s *Store) GetOrCompute(key Key, compute func() ([]byte, error)) ([]byte, Result, error) {
+	e, res, err := s.Ingest(key, "", func() (Entry, error) {
+		plans, err := compute()
+		return Entry{Plans: plans}, err
+	})
+	return e.Plans, res, err
+}
+
+// Ingest serves key from the cache, from a same-shape stale entry, from
+// an in-flight computation of the same key, from a sibling shard's
+// cache (handoff-capable backends), or — exactly once per key — by
+// running compute, whose Entry supplies the plans and their count.
+// compute runs without the store lock held.
+//
+// app is the application named by the profile whose fingerprint is
+// key.Profile, which the caller has decoded and validated. Every entry
+// Ingest stores under key is marked Validated with it, so repeats of
+// those bytes become hash-only Hits. An empty app marks nothing.
+func (s *Store) Ingest(key Key, app string, compute func() (Entry, error)) (Entry, Result, error) {
 	s.mu.Lock()
 
 	// 1. Exact hit.
 	if e, ok := s.backend.LookupKey(key); ok {
 		s.count(&s.hits, "plan_cache_hits")
 		s.mu.Unlock()
-		return e.Plans, Result{Outcome: OutcomeHit, Source: e.Source}, nil
+		e, res := s.exactHit(key, app, e)
+		return e, res, nil
 	}
 
 	// 2. Same key already being computed: wait for it rather than
@@ -279,27 +359,23 @@ func (s *Store) GetOrCompute(key Key, compute func() ([]byte, error)) ([]byte, R
 		s.mu.Unlock()
 		<-c.done
 		if c.err != nil {
-			return nil, Result{}, c.err
+			return Entry{}, Result{}, c.err
 		}
-		return c.plans, Result{Outcome: OutcomeHit, Source: c.src}, nil
+		return c.e, Result{Outcome: OutcomeHit, Source: c.e.Source}, nil
 	}
 
 	// 3. Stale match: an entry computed from a different profile of the
-	// same loop structure. Serve its plans verbatim, no analysis, and
-	// alias them under the new fingerprint so the follow-up GET (and
-	// repeat ingests of this exact profile) hit exactly.
+	// same loop structure. Serve its plans verbatim, no analysis.
 	if e, ok := s.backend.LookupShape(key.Shape); ok {
 		s.count(&s.staleMatches, "plan_cache_stale_matches")
-		res := Result{Outcome: OutcomeStaleMatch, Source: e.Source}
 		s.mu.Unlock()
-		// Alias outside the lock: Put may push to peers (network I/O).
-		s.backend.Put(key, Entry{Plans: e.Plans, Source: e.Source})
-		return e.Plans, res, nil
+		e, res := s.staleMatch(key, app, e)
+		return e, res, nil
 	}
 
 	// 4. Local miss: this request owns the flight; concurrent requests
 	// for the same key wait on it instead of duplicating the work.
-	c := &call{done: make(chan struct{}), src: key.Profile}
+	c := &call{done: make(chan struct{})}
 	s.inflight[key] = c
 	s.mu.Unlock()
 
@@ -309,7 +385,7 @@ func (s *Store) GetOrCompute(key Key, compute func() ([]byte, error)) ([]byte, R
 	if h, ok := s.backend.(HandoffBackend); ok {
 		if e, ok := h.Handoff(key.Profile); ok {
 			s.count(&s.handoffs, "plan_cache_handoffs")
-			c.plans, c.src = e.Plans, e.Source
+			c.e = labelled(key, app, e)
 			outcome = OutcomeHandoff
 		}
 	}
@@ -317,7 +393,11 @@ func (s *Store) GetOrCompute(key Key, compute func() ([]byte, error)) ([]byte, R
 	// 4b. True miss: run the analysis.
 	if outcome == OutcomeMiss {
 		s.count(&s.misses, "plan_cache_misses")
-		c.plans, c.err = compute()
+		var e Entry
+		if e, c.err = compute(); c.err == nil {
+			e.Source = key.Profile
+			c.e = labelled(key, app, e)
+		}
 	}
 
 	// Publish to the backend before dropping the flight, so a request
@@ -326,9 +406,9 @@ func (s *Store) GetOrCompute(key Key, compute func() ([]byte, error)) ([]byte, R
 	// Handed-off plans store locally only: they just came from a peer.
 	if c.err == nil {
 		if outcome == OutcomeHandoff {
-			s.PutLocal(key, Entry{Plans: c.plans, Source: c.src})
+			s.PutLocal(key, c.e)
 		} else {
-			s.backend.Put(key, Entry{Plans: c.plans, Source: c.src})
+			s.backend.Put(key, c.e)
 		}
 	}
 	s.mu.Lock()
@@ -337,9 +417,9 @@ func (s *Store) GetOrCompute(key Key, compute func() ([]byte, error)) ([]byte, R
 	close(c.done)
 
 	if c.err != nil {
-		return nil, Result{}, c.err
+		return Entry{}, Result{}, c.err
 	}
-	return c.plans, Result{Outcome: outcome, Source: c.src}, nil
+	return c.e, Result{Outcome: outcome, Source: c.e.Source}, nil
 }
 
 // count bumps an atomic and mirrors it into the obs span when attached.

@@ -342,7 +342,7 @@ func TestEvictionChurnKeepsMapsConsistent(t *testing.T) {
 	entries := make(map[wire.Fingerprint][]byte)
 	for el := b.ll.Front(); el != nil; el = el.Next() {
 		e := el.Value.(*entry)
-		entries[e.key.Profile] = e.plans
+		entries[e.key.Profile] = e.Plans
 	}
 	b.mu.Unlock()
 	for fp, want := range entries {
@@ -448,5 +448,82 @@ func TestReplicationPushMirrorsPuts(t *testing.T) {
 	}
 	if got := s.Counters()["plan_cache_replication_pushes"]; got != 1 {
 		t.Fatalf("replication pushes = %d, want 1", got)
+	}
+}
+
+// TestHitServesOnlyValidatedEntries: the fingerprint-only Hit answers
+// entries an ingest stored with its decoded app, never a replica or a
+// handoff alias, until a decoding ingest of that fingerprint marks it.
+func TestHitServesOnlyValidatedEntries(t *testing.T) {
+	peer := newFakePeer()
+	s := NewWithBackend(NewReplicated(NewLocal(8), []Peer{peer}, false))
+	ingest := func(k Key) Result {
+		t.Helper()
+		e, res, err := s.Ingest(k, "app", func() (Entry, error) { return Entry{Plans: plans(1), Count: 1}, nil })
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !e.Validated() || e.App != "app" || e.Shape != k.Shape {
+			t.Fatalf("ingest of %s served %+v, want it validated for its key", k.Profile, e)
+		}
+		return res
+	}
+
+	own := key(1, "sA")
+	if _, ok := s.Hit(own.Profile); ok {
+		t.Fatal("Hit on an empty store")
+	}
+	if res := ingest(own); res.Outcome != OutcomeMiss {
+		t.Fatalf("first ingest = %v, want miss", res.Outcome)
+	}
+	if e, ok := s.Hit(own.Profile); !ok || e.Count != 1 || e.Shape != own.Shape {
+		t.Fatalf("Hit after a decoding ingest = %+v/%v", e, ok)
+	}
+	// A replica refresh of that fingerprint keeps what the ingest checked.
+	s.PutLocal(own, Entry{Plans: plans(2), Source: own.Profile, Count: 2})
+	if e, ok := s.Hit(own.Profile); !ok || e.Count != 2 || e.App != "app" {
+		t.Fatalf("Hit after a replica refresh = %+v/%v", e, ok)
+	}
+
+	// A replica: not validated until an ingest decodes its profile.
+	replica := key(2, "sB")
+	s.PutLocal(replica, Entry{Plans: plans(2), Source: replica.Profile, Count: 1})
+	if _, ok := s.Hit(replica.Profile); ok {
+		t.Fatal("Hit served a replica nobody here decoded")
+	}
+	if res := ingest(replica); res.Outcome != OutcomeHit {
+		t.Fatalf("ingest of a replica = %v, want hit", res.Outcome)
+	}
+	if _, ok := s.Hit(replica.Profile); !ok {
+		t.Fatal("decoding ingest did not mark the replica")
+	}
+
+	// A handoff alias, even of a peer entry that claims validation.
+	alias := key(3, "sC")
+	peer.entries[alias.Profile] = Entry{Plans: plans(3), Source: alias.Profile, App: "app", Shape: "sC"}
+	if _, ok := s.Get(alias.Profile); !ok {
+		t.Fatal("handoff GET missed")
+	}
+	if _, ok := s.Hit(alias.Profile); ok {
+		t.Fatal("Hit served a handoff alias")
+	}
+
+	// A stale-match alias is validated for the new fingerprint only.
+	drifted := key(4, "sA")
+	if res := ingest(drifted); res.Outcome != OutcomeStaleMatch {
+		t.Fatalf("drifted ingest = %v, want stale_match", res.Outcome)
+	}
+	if e, ok := s.Hit(drifted.Profile); !ok || e.Source != own.Profile {
+		t.Fatalf("Hit on the stale alias = %+v/%v", e, ok)
+	}
+
+	// The plain GetOrCompute marks nothing.
+	plain := key(5, "sD")
+	mustCompute(t, s, plain, 5)
+	if _, ok := s.Hit(plain.Profile); ok {
+		t.Fatal("Hit served an entry GetOrCompute stored")
+	}
+	if c := s.Counters(); c["plan_cache_hits"] != 5 {
+		t.Fatalf("hits = %d, want 5: four served Hits and the replica's decoded hit", c["plan_cache_hits"])
 	}
 }

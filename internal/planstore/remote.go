@@ -58,7 +58,8 @@ func NewRemote(base string, timeout time.Duration) *Remote {
 // Base returns the remote's base URL.
 func (r *Remote) Base() string { return r.base }
 
-// Lookup fetches plans by fingerprint from the remote daemon.
+// Lookup fetches plans by fingerprint from the remote daemon. Bytes that
+// are not a canonical plan set count as an error and a miss.
 func (r *Remote) Lookup(fp wire.Fingerprint) (Entry, bool) {
 	r.gets.Add(1)
 	req, err := http.NewRequest(http.MethodGet, r.base+"/v1/plans/"+string(fp), nil)
@@ -87,11 +88,18 @@ func (r *Remote) Lookup(fp wire.Fingerprint) (Entry, bool) {
 		r.errors.Add(1)
 		return Entry{}, false
 	}
+	// A peer's bytes are checked like a replication PUT body, which also
+	// gives the plan count an ingest reply needs.
+	ps, err := wire.DecodePlanSet(plans)
+	if err != nil {
+		r.errors.Add(1)
+		return Entry{}, false
+	}
 	src := wire.Fingerprint(resp.Header.Get(HeaderSource))
 	if src == "" {
 		src = fp
 	}
-	return Entry{Plans: plans, Source: src}, true
+	return Entry{Plans: plans, Source: src, Count: len(ps.Plans)}, true
 }
 
 // LookupKey approximates exact-key lookup by fingerprint (the remote

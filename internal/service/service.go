@@ -28,6 +28,7 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -354,6 +355,36 @@ func (s *Server) reject(w http.ResponseWriter) {
 		errorResponse{Error: "server at capacity"})
 }
 
+// maxPrealloc caps the buffer a declared Content-Length sizes up front;
+// past it the body buffer grows only as bytes arrive, so a large
+// declared length with a short body allocates what arrives.
+const maxPrealloc = 1 << 20
+
+// readBody reads r to EOF into one buffer: sized from the declared
+// length (≤ maxPrealloc, plus one byte so reading EOF does not grow it)
+// and grown only as bytes arrive. Chunked uploads (declared -1) start
+// small.
+func readBody(r io.Reader, declared int64) ([]byte, error) {
+	size := int64(512)
+	if declared >= 0 {
+		size = min(declared, maxPrealloc) + 1
+	}
+	buf := make([]byte, 0, size)
+	for {
+		if len(buf) == cap(buf) {
+			buf = append(buf, 0)[:len(buf)]
+		}
+		n, err := r.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if err == io.EOF {
+			return buf, nil
+		}
+		if err != nil {
+			return buf, err
+		}
+	}
+}
+
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if !s.acquire() {
 		s.reject(w)
@@ -372,17 +403,36 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Stream-decode the frame: the body is hashed and validated as it
-	// arrives, so a malformed or non-canonical upload fails without ever
-	// being buffered whole.
-	prof, fp, err := wire.DecodeProfileFrom(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
+	data, err := readBody(body, r.ContentLength)
 	if err != nil {
+		// Report the failure the decoder meets first, as when the frame
+		// was decoded while it streamed in: a frame already malformed
+		// before the limit (or a broken upload) is 400, and one still
+		// well-formed when the limit cut it off is 413. body keeps
+		// returning its error after the bytes read so far.
+		_, _, err = wire.DecodeProfileFrom(io.MultiReader(bytes.NewReader(data), body))
 		status := http.StatusBadRequest
 		var mbe *http.MaxBytesError
 		if errors.As(err, &mbe) {
 			status = http.StatusRequestEntityTooLarge
 		}
 		writeJSON(w, status, errorResponse{Error: err.Error()})
+		return
+	}
+
+	// Hash first. The fingerprint is SHA-256 over the body, and the
+	// decoder accepts only canonical frames, so bytes this daemon already
+	// decoded and validated under this fingerprint need no second look.
+	fp := wire.FingerprintBytes(data)
+	if e, ok := s.store.Hit(fp); ok {
+		writeIngest(w, fp, e, planstore.Result{Outcome: planstore.OutcomeHit, Source: e.Source}, 0)
+		return
+	}
+
+	prof, err := wire.DecodeProfile(data)
+	if err != nil {
+		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
 		return
 	}
 	if err := prof.Validate(); err != nil {
@@ -395,15 +445,13 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// The decoder enforces canonical frames and hashed the body as it
-	// streamed past, so fp IS the canonical content address.
 	key := planstore.Key{
 		Profile: fp,
 		Shape:   prof.ShapeHash(),
 	}
 
 	var (
-		plans      []byte
+		e          planstore.Entry
 		res        planstore.Result
 		aggregated int
 	)
@@ -413,13 +461,16 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		// shapes join the window, so a fleet burst of K re-profiles costs
 		// one analysis of the merged evidence.
 		var ok bool
-		plans, res, ok = s.store.TryGet(key)
+		e, res, ok = s.store.TryGet(key, prof.App)
 		if !ok {
+			var plans []byte
 			var src wire.Fingerprint
 			var size int
 			plans, src, size, err = s.batcher.Do(r.Context(), key.Shape, prof, s.computePlans)
 			if err == nil {
-				s.store.Put(key, planstore.Entry{Plans: plans, Source: src})
+				e = counted(plans)
+				e.Source, e.App, e.Shape = src, prof.App, key.Shape
+				s.store.Put(key, e)
 				res = planstore.Result{Outcome: planstore.OutcomeMiss, Source: src}
 				if size > 1 {
 					res.Outcome = planstore.OutcomeAggregated
@@ -428,8 +479,9 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 	} else {
-		plans, res, err = s.store.GetOrCompute(key, func() ([]byte, error) {
-			return s.computePlans(prof)
+		e, res, err = s.store.Ingest(key, prof.App, func() (planstore.Entry, error) {
+			plans, err := s.computePlans(prof)
+			return counted(plans), err
 		})
 	}
 	if err != nil {
@@ -440,26 +492,36 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, status, errorResponse{Error: err.Error()})
 		return
 	}
+	writeIngest(w, fp, e, res, aggregated)
+}
+
+// counted wraps plan bytes computePlans encoded with their plan count.
+func counted(plans []byte) planstore.Entry {
+	n, _ := wire.PlanCount(plans) // our own encoding: the header always reads
+	return planstore.Entry{Plans: plans, Count: n}
+}
+
+// writeIngest answers an ingest of the profile fp from the entry that
+// served it, which carries the app, shape and plan count the reply
+// echoes.
+func writeIngest(w http.ResponseWriter, fp wire.Fingerprint, e planstore.Entry,
+	res planstore.Result, aggregated int) {
 
 	resp := IngestResponse{
-		App:         prof.App,
-		Fingerprint: string(key.Profile),
-		ShapeHash:   string(key.Shape),
-		Outcome:     res.Outcome.String(),
-		Aggregated:  aggregated,
+		App:          e.App,
+		Fingerprint:  string(fp),
+		ShapeHash:    string(e.Shape),
+		Plans:        e.Count,
+		Outcome:      res.Outcome.String(),
+		StaleMatched: res.Outcome == planstore.OutcomeStaleMatch,
+		Aggregated:   aggregated,
 	}
-	if ps, err := wire.DecodePlanSet(plans); err == nil {
-		resp.Plans = len(ps.Plans)
+	if res.Source != fp {
+		resp.SourceFingerprint = string(res.Source)
 	}
 	status := http.StatusOK
 	if res.Outcome == planstore.OutcomeMiss || res.Outcome == planstore.OutcomeAggregated {
 		status = http.StatusCreated
-	}
-	if res.Outcome == planstore.OutcomeStaleMatch {
-		resp.StaleMatched = true
-	}
-	if res.Source != key.Profile {
-		resp.SourceFingerprint = string(res.Source)
 	}
 	writeJSON(w, status, resp)
 }
@@ -526,7 +588,8 @@ func (s *Server) handlePlanPut(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, status, errorResponse{Error: err.Error()})
 		return
 	}
-	if _, err := wire.DecodePlanSet(plans); err != nil {
+	ps, err := wire.DecodePlanSet(plans)
+	if err != nil {
 		writeJSON(w, http.StatusUnprocessableEntity,
 			errorResponse{Error: fmt.Sprintf("body is not a canonical plan set: %v", err)})
 		return
@@ -543,7 +606,7 @@ func (s *Server) handlePlanPut(w http.ResponseWriter, r *http.Request) {
 	if src == "" {
 		src = key.Profile
 	}
-	s.store.PutLocal(key, planstore.Entry{Plans: plans, Source: src})
+	s.store.PutLocal(key, planstore.Entry{Plans: plans, Source: src, Count: len(ps.Plans)})
 	s.sp.Add("plan_cache_replica_puts", 1)
 	w.WriteHeader(http.StatusNoContent)
 }

@@ -120,6 +120,9 @@ func TestPlanSetRoundTripProperty(t *testing.T) {
 		if !reflect.DeepEqual(ps, got) {
 			t.Fatalf("iter %d: decode(encode(x)) != x\n in: %+v\nout: %+v", i, ps, got)
 		}
+		if n, err := PlanCount(data); err != nil || n != len(ps.Plans) {
+			t.Fatalf("iter %d: PlanCount = %d, %v; want %d", i, n, err, len(ps.Plans))
+		}
 	}
 }
 

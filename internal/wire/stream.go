@@ -16,9 +16,9 @@
 //
 // Together these imply encode(decode(b)) == b for every accepted b —
 // the property the wire fuzz targets assert — without materializing a
-// second copy. The same pass works over an io.Reader, so the service
-// can hash and decode an upload as the body arrives instead of
-// io.ReadAll-ing up to the body limit first (DecodeProfileFrom).
+// second copy. The same pass works over an io.Reader, hashing the bytes
+// as they arrive (DecodeProfileFrom); the service buffers an upload and
+// hashes it first instead, so a repeat is served without decoding.
 package wire
 
 import (
@@ -37,6 +37,10 @@ import (
 // more than this many bytes ahead of what the stream has delivered, so
 // an adversarial length prefix cannot allocate beyond the actual input.
 const streamChunk = 64 << 10
+
+// entrySlab is how many LBR entries one shared backing array holds when
+// a profile's samples are decoded (24 KiB).
+const entrySlab = 1024
 
 // stream is the incremental frame reader. With src == nil, buf holds
 // the entire frame (the []byte decoders); otherwise buf is a sliding
@@ -131,6 +135,9 @@ func (s *stream) full(dst []byte) {
 // uint reads a minimally-encoded uvarint: a multi-byte encoding whose
 // final byte is zero carries padding the canonical writer never emits.
 func (s *stream) uint() uint64 {
+	if s.err == nil && s.remaining() >= 10 {
+		return s.uintBuffered()
+	}
 	start := s.off
 	var v uint64
 	var shift uint
@@ -157,6 +164,31 @@ func (s *stream) uint() uint64 {
 		shift += 7
 	}
 	s.fail("wire: uvarint overflows 64 bits at offset %d", start)
+	return 0
+}
+
+// uintBuffered is uint's fast path for a varint whose longest possible
+// encoding is already buffered: it indexes the window directly instead of
+// calling byte per byte, with the same minimality and overflow checks.
+func (s *stream) uintBuffered() uint64 {
+	b := s.buf[s.pos : s.pos+10]
+	var v uint64
+	for i, c := range b {
+		if c < 0x80 {
+			if i == 9 && c > 1 {
+				break
+			}
+			if i > 0 && c == 0 {
+				s.fail("wire: frame is not canonical: padded varint at offset %d", s.off)
+				return 0
+			}
+			s.pos += i + 1
+			s.off += int64(i + 1)
+			return v | uint64(c)<<(7*i)
+		}
+		v |= uint64(c&0x7f) << (7 * i)
+	}
+	s.fail("wire: uvarint overflows 64 bits at offset %d", s.off)
 	return 0
 }
 
@@ -354,16 +386,24 @@ func (s *stream) decodeProfile() *Profile {
 	}
 	if n := s.count(2); s.err == nil && n > 0 {
 		p.Samples = make([]lbr.Sample, 0, s.sliceCap(n, 40))
+		// The samples' entries share backing arrays of entrySlab entries;
+		// each sample gets a full slice expression, so an append to one
+		// sample's entries can never write into its neighbour's.
+		var slab []lbr.Entry
 		for i := 0; i < n && s.err == nil; i++ {
 			var sm lbr.Sample
 			sm.Cycle = s.uint()
 			if m := s.count(3); s.err == nil && m > 0 {
-				sm.Entries = make([]lbr.Entry, 0, s.sliceCap(m, 24))
+				if want := s.sliceCap(m, 24); cap(slab)-len(slab) < want {
+					slab = make([]lbr.Entry, 0, max(want, entrySlab))
+				}
+				first := len(slab)
 				for j := 0; j < m && s.err == nil; j++ {
-					sm.Entries = append(sm.Entries, lbr.Entry{
+					slab = append(slab, lbr.Entry{
 						From: s.uint(), To: s.uint(), Cycle: s.uint(),
 					})
 				}
+				sm.Entries = slab[first:len(slab):len(slab)]
 			}
 			if s.err == nil && i > 0 && lessSample(&sm, &p.Samples[i-1]) {
 				s.fail("wire: frame is not canonical: samples out of order at index %d", i)
@@ -461,6 +501,17 @@ func DecodePlanSet(data []byte) (*PlanSet, error) {
 		return nil, err
 	}
 	return ps, nil
+}
+
+// PlanCount returns how many plans a plan-set frame holds, reading only
+// its header, app name and plan count: the plans themselves are neither
+// decoded nor checked. Use it on frames EncodePlanSet produced.
+func PlanCount(data []byte) (int, error) {
+	s := stream{buf: data}
+	s.header(KindPlanSet)
+	s.str()
+	n := s.count(10)
+	return n, s.err
 }
 
 // DecodePlanSetFrom parses exactly one canonical plan-set frame from r,

@@ -2,6 +2,10 @@ package wire
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"fmt"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -211,5 +215,32 @@ func TestWireAllocsPerRun(t *testing.T) {
 		}
 	}); got > 82 { // + reader, hasher, window
 		t.Errorf("DecodeProfileFrom: %.1f allocs/op, want <= 82", got)
+	}
+}
+
+// TestUintFastPathMatchesByteLoop: the buffered varint fast path must
+// return exactly what the byte-at-a-time loop returns — value, error
+// and bytes consumed — for minimal encodings of every width, padded
+// encodings, and 64-bit overflow.
+func TestUintFastPathMatchesByteLoop(t *testing.T) {
+	var encs [][]byte
+	for _, v := range []uint64{0, 1, 127, 128, 300, 1 << 21, 1<<35 + 7, 1<<56 - 1, 1 << 63, math.MaxUint64} {
+		encs = append(encs, binary.AppendUvarint(nil, v))
+	}
+	encs = append(encs,
+		[]byte{0x80, 0x00}, // padded zero
+		[]byte{0xff, 0x80, 0x00},
+		[]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x02}, // 65 bits
+		[]byte{0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80}, // no terminator
+	)
+	for _, enc := range encs {
+		data := append(append([]byte(nil), enc...), make([]byte, 10)...)
+		fast := stream{buf: data}
+		slow := stream{src: iotest.OneByteReader(bytes.NewReader(data)), sum: sha256.New()}
+		fv, sv := fast.uint(), slow.uint()
+		if fv != sv || fmt.Sprint(fast.err) != fmt.Sprint(slow.err) || (fast.err == nil && fast.off != slow.off) {
+			t.Errorf("% x: fast = %d, %v, off %d; byte loop = %d, %v, off %d",
+				enc, fv, fast.err, fast.off, sv, slow.err, slow.off)
+		}
 	}
 }

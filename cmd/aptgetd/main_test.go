@@ -64,9 +64,11 @@ func startDaemon(t *testing.T, stdout *syncBuffer, extraArgs ...string) (string,
 }
 
 func TestBadFlagIsUsageError(t *testing.T) {
-	var stdout, stderr bytes.Buffer
-	if code := run(context.Background(), []string{"-no-such-flag"}, &stdout, &stderr); code != 2 {
-		t.Fatalf("bad flag exit = %d, want 2", code)
+	for _, args := range [][]string{{"-no-such-flag"}, {"-pgo-dir", "x"}} {
+		var stdout, stderr bytes.Buffer
+		if code := run(context.Background(), args, &stdout, &stderr); code != 2 {
+			t.Fatalf("%v exit = %d, want 2", args, code)
+		}
 	}
 }
 

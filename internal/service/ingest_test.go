@@ -374,3 +374,48 @@ func TestIngestHitAllocsPerRun(t *testing.T) {
 		t.Errorf("hash-only hit: %.0f allocs/op, want <= 64", got)
 	}
 }
+
+// TestRejectionAndReplicaCountersReachMetrics: counters the handlers
+// bump must appear on /v1/metrics of a daemon without an obs report,
+// where the serve span they are mirrored into does not exist.
+func TestRejectionAndReplicaCountersReachMetrics(t *testing.T) {
+	wp, body := isProfile(t)
+	plans := wire.EncodePlanSet(&wire.PlanSet{App: wp.App})
+	for _, c := range []struct {
+		name     string
+		method   string
+		path     string
+		body     io.Reader
+		declared int64 // -1 sends the body chunked
+		status   int
+		counter  string
+	}{
+		{"oversize POST, declared length", http.MethodPost, "/v1/profiles",
+			bytes.NewReader(body), int64(len(body)), http.StatusRequestEntityTooLarge, "requests_rejected_oversize"},
+		{"oversize POST, chunked", http.MethodPost, "/v1/profiles",
+			hideLength{bytes.NewReader(body)}, -1, http.StatusRequestEntityTooLarge, "requests_rejected_oversize"},
+		{"replica PUT", http.MethodPut, "/v1/plans/" + string(wire.FingerprintBytes(body)),
+			bytes.NewReader(plans), int64(len(plans)), http.StatusNoContent, "plan_cache_replica_puts"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			ts := httptest.NewServer(New(Config{MaxBodyBytes: 1024}).Handler())
+			defer ts.Close()
+			req, err := http.NewRequest(c.method, ts.URL+c.path, c.body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			req.ContentLength = c.declared
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != c.status {
+				t.Fatalf("status = %d, want %d", resp.StatusCode, c.status)
+			}
+			if got := getMetrics(t, ts).Counters[c.counter]; got != 1 {
+				t.Fatalf("/v1/metrics %s = %d, want 1", c.counter, got)
+			}
+		})
+	}
+}

@@ -1,121 +1,62 @@
 package service
 
-// The self-PGO surface of the daemon: on-demand CPU captures and the
-// merged (best stored) profile for the running build — the bytes a
-// rebuild harness hands to `go build -pgo`.
+// GET /v1/pprof/cpu: an on-demand CPU profile of the daemon, in the
+// format `go build -pgo` reads.
 
 import (
-	"context"
-	"errors"
+	"bytes"
 	"fmt"
+	"math"
 	"net/http"
+	"runtime/pprof"
 	"strconv"
 	"time"
-
-	"aptget/internal/pgo"
 )
 
-// On-demand capture limits.
+// On-demand capture window limits, in seconds.
 const (
-	// DefaultCaptureSeconds is the /v1/pprof/cpu window when the client
-	// does not pass ?seconds=.
 	DefaultCaptureSeconds = 5.0
-	// CaptureGrace pads the capture-scoped deadline past the requested
-	// window: it covers waiting out one in-flight windowed capture plus
-	// response writing.
-	CaptureGrace = 15 * time.Second
+	MaxCaptureSeconds     = 120.0
 )
 
-// Artifact-related response headers.
-const (
-	// HeaderBuild carries the serving binary's build ID on pprof
-	// responses, so the harness can detect a binary/profile mismatch.
-	HeaderBuild = "X-Apt-Build"
-	// HeaderArtifact names the stored artifact a response was served
-	// from (merged) or stored as (cpu with store=1).
-	HeaderArtifact = "X-Apt-Artifact"
-)
-
-// handlePprofCPU runs one on-demand CPU capture of the daemon itself and
-// returns the pprof bytes. ?seconds= (float) sets the window length,
-// clamped to pgo.MaxOnDemandDuration; &store=1 additionally persists the
-// capture to the artifact store so it becomes a /v1/pprof/merged
-// candidate.
-//
-// The handler is mounted outside the service's TimeoutHandler: a capture
-// legitimately runs for multiple seconds and must not be killed by the
-// normal per-request deadline. It runs under its own capture-scoped
-// timeout (window + CaptureGrace) instead, and does not take a plan-
-// serving admission slot — captures serialize on the process-wide
-// profiling semaphore, which already bounds them to one at a time.
-func (s *Server) handlePprofCPU(w http.ResponseWriter, r *http.Request) {
+// captureWindow parses ?seconds=: a finite positive float, clamped to
+// MaxCaptureSeconds before it becomes a duration ("" selects the
+// default).
+func captureWindow(v string) (time.Duration, error) {
 	secs := DefaultCaptureSeconds
-	if v := r.URL.Query().Get("seconds"); v != "" {
+	if v != "" {
 		f, err := strconv.ParseFloat(v, 64)
-		if err != nil || f <= 0 {
-			writeJSON(w, http.StatusBadRequest,
-				errorResponse{Error: fmt.Sprintf("bad seconds %q", v)})
-			return
+		if err != nil || !(f > 0) || math.IsInf(f, 1) {
+			return 0, fmt.Errorf("bad seconds %q", v)
 		}
-		secs = f
+		secs = min(f, MaxCaptureSeconds)
 	}
-	d := time.Duration(secs * float64(time.Second))
-	if d > pgo.MaxOnDemandDuration {
-		d = pgo.MaxOnDemandDuration
-	}
+	return time.Duration(secs * float64(time.Second)), nil
+}
 
-	ctx, cancel := context.WithTimeout(r.Context(), d+CaptureGrace)
-	defer cancel()
-	data, err := s.capt.CaptureOnce(ctx, d)
+// handlePprofCPU profiles the whole process for the requested window
+// and returns the gzipped pprof bytes. It is mounted outside the
+// TimeoutHandler and takes no admission slot. The runtime allows one
+// CPU profile at a time, so a capture that finds one running gets 503
+// at once.
+func handlePprofCPU(w http.ResponseWriter, r *http.Request) {
+	d, err := captureWindow(r.URL.Query().Get("seconds"))
 	if err != nil {
-		s.pgoOndemandFail.Add(1)
-		s.sp.Add("pgo_ondemand_failures", 1)
+		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
+		return
+	}
+	var buf bytes.Buffer
+	if err := pprof.StartCPUProfile(&buf); err != nil {
 		writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: err.Error()})
 		return
 	}
-	s.pgoOndemand.Add(1)
-	s.sp.Add("pgo_ondemand_captures", 1)
-
-	w.Header().Set(HeaderBuild, pgo.BuildID())
-	if v := r.URL.Query().Get("store"); v == "1" || v == "true" {
-		art, err := s.capt.StoreArtifact(data)
-		switch {
-		case errors.Is(err, pgo.ErrNoStore):
-			writeJSON(w, http.StatusConflict, errorResponse{
-				Error: "store=1 requested but the daemon has no artifact store (-pgo-dir)"})
-			return
-		case err != nil:
-			writeJSON(w, http.StatusInternalServerError, errorResponse{Error: err.Error()})
-			return
-		}
-		w.Header().Set(HeaderArtifact, art.Name)
+	t := time.NewTimer(d)
+	defer t.Stop()
+	select {
+	case <-t.C:
+	case <-r.Context().Done():
 	}
+	pprof.StopCPUProfile()
 	w.Header().Set("Content-Type", "application/octet-stream")
-	w.WriteHeader(http.StatusOK)
-	w.Write(data)
-}
-
-// handlePprofMerged serves the strongest stored CPU profile for the
-// running binary's build — the `default.pgo` candidate a rebuild fetches
-// (stale builds' artifacts are segregated and never served). 404 when
-// the daemon has no artifact store or nothing captured yet.
-func (s *Server) handlePprofMerged(w http.ResponseWriter, _ *http.Request) {
-	st := s.capt.Store()
-	if st == nil {
-		writeJSON(w, http.StatusNotFound,
-			errorResponse{Error: "no artifact store configured (-pgo-dir)"})
-		return
-	}
-	art, data, err := st.Best()
-	if err != nil {
-		writeJSON(w, http.StatusNotFound, errorResponse{Error: err.Error()})
-		return
-	}
-	s.pgoMergedServed.Add(1)
-	s.sp.Add("pgo_merged_served", 1)
-	w.Header().Set(HeaderBuild, art.Build)
-	w.Header().Set(HeaderArtifact, art.Name)
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.WriteHeader(http.StatusOK)
-	w.Write(data)
+	w.Write(buf.Bytes())
 }

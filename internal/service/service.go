@@ -7,10 +7,9 @@
 //
 //	POST /v1/profiles        ingest a profile, return {fingerprint, outcome}
 //	GET  /v1/plans/{fp}      fetch canonical plan-set bytes by fingerprint
-//	GET  /v1/healthz         liveness + cache size + binary build identity
+//	GET  /v1/healthz         liveness + cache size
 //	GET  /v1/metrics         plan-cache / backpressure counters (+ obs report)
-//	GET  /v1/pprof/cpu       on-demand self-capture (?seconds=, &store=1)
-//	GET  /v1/pprof/merged    best stored CPU profile for this build (default.pgo)
+//	GET  /v1/pprof/cpu       on-demand CPU profile of the daemon (?seconds=)
 //
 // The server re-derives plans itself: workload builds are deterministic
 // (core.Workload contract), so the profile only has to name the
@@ -44,7 +43,6 @@ import (
 	"aptget/internal/core"
 	"aptget/internal/mem"
 	"aptget/internal/obs"
-	"aptget/internal/pgo"
 	"aptget/internal/planstore"
 	"aptget/internal/profile"
 	"aptget/internal/wire"
@@ -103,13 +101,6 @@ type Config struct {
 	// PeerTimeout bounds one warm-handoff lookup or replication push
 	// (≤0 → planstore.DefaultRemoteTimeout).
 	PeerTimeout time.Duration
-
-	// Capturer is the self-PGO capture subsystem (windowed CPU captures
-	// plus the /v1/pprof endpoints). nil constructs an ephemeral
-	// store-less capturer, so on-demand /v1/pprof/cpu always works; the
-	// daemon passes a configured one to get windowed capture and the
-	// artifact store behind /v1/pprof/merged.
-	Capturer *pgo.Capturer
 }
 
 func (c *Config) fill() {
@@ -141,19 +132,13 @@ type Server struct {
 	cfg     Config
 	store   *planstore.Store
 	batcher *aggregate.Batcher // nil unless AggregateWindow ≥ 2
-	capt    *pgo.Capturer
 	sem     chan struct{}
 	handler http.Handler
 
-	rejected atomic.Int64
-	// requests counts admitted requests; the capturer's idle detector
-	// watches it to pause windowed self-capture on an unloaded daemon.
-	requests atomic.Int64
-
-	// Self-PGO endpoint counters (mirrored into the serve span).
-	pgoOndemand     atomic.Int64
-	pgoOndemandFail atomic.Int64
-	pgoMergedServed atomic.Int64
+	// Server-level counters, read by Counters and mirrored into sp.
+	rejected    atomic.Int64
+	oversize    atomic.Int64
+	replicaPuts atomic.Int64
 
 	// sp is the long-lived serve span the cache counters mirror into
 	// when the obs registry is enabled at construction (aptgetd -report).
@@ -217,29 +202,19 @@ func New(cfg Config) *Server {
 	}
 	s.store.AttachObs(s.sp)
 
-	s.capt = cfg.Capturer
-	if s.capt == nil {
-		// A zero pgo.Config cannot fail (no store directory to create).
-		s.capt, _ = pgo.New(pgo.Config{})
-	}
-	s.capt.SetActivity(s.requests.Load)
-
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/profiles", s.handleIngest)
 	mux.HandleFunc("GET /v1/plans/{fp}", s.handlePlans)
 	mux.HandleFunc("PUT /v1/plans/{fp}", s.handlePlanPut)
 	mux.HandleFunc("GET /v1/healthz", s.handleHealthz)
 	mux.HandleFunc("GET /v1/metrics", s.handleMetrics)
-	mux.HandleFunc("GET /v1/pprof/merged", s.handlePprofMerged)
 
 	// /v1/pprof/cpu mounts *outside* the TimeoutHandler: a multi-second
-	// CPU capture is legitimate work that must not be killed by the
-	// normal per-request deadline. It runs under its own capture-scoped
-	// timeout instead (see handlePprofCPU).
+	// CPU capture must not be killed by the per-request deadline.
 	root := http.NewServeMux()
 	root.Handle("/", http.TimeoutHandler(mux, cfg.RequestTimeout,
 		`{"error":"request timed out"}`))
-	root.HandleFunc("GET /v1/pprof/cpu", s.handlePprofCPU)
+	root.HandleFunc("GET /v1/pprof/cpu", handlePprofCPU)
 	s.handler = root
 	return s
 }
@@ -256,36 +231,22 @@ func (s *Server) Store() *planstore.Store { return s.store }
 func (s *Server) Counters() map[string]int64 {
 	c := s.store.Counters()
 	c["requests_rejected_backpressure"] = s.rejected.Load()
+	c["requests_rejected_oversize"] = s.oversize.Load()
+	c["plan_cache_replica_puts"] = s.replicaPuts.Load()
 	if s.batcher != nil {
 		for k, v := range s.batcher.Counters() {
 			c[k] += v
 		}
 	}
-	for k, v := range s.capt.Counters() {
-		c[k] = v
-	}
-	c["pgo_ondemand_captures"] = s.pgoOndemand.Load()
-	c["pgo_ondemand_failures"] = s.pgoOndemandFail.Load()
-	c["pgo_merged_served"] = s.pgoMergedServed.Load()
 	return c
 }
 
 // Close ends the server's obs spans. Idempotent; Serve calls it on exit.
-func (s *Server) Close() {
-	s.sp.End()
-	s.capt.Close()
-}
-
-// Capturer exposes the self-PGO capture subsystem (startup logging,
-// tests).
-func (s *Server) Capturer() *pgo.Capturer { return s.capt }
+func (s *Server) Close() { s.sp.End() }
 
 // Serve accepts connections on ln until ctx is cancelled, then shuts
-// down gracefully (in-flight requests get up to 5s to drain). A
-// windowed-capture capturer runs for the same lifetime: its loop starts
-// with the listener and is drained before Serve returns, so a capture
-// window in flight at shutdown is flushed to the artifact store, not
-// dropped. Returns nil on a clean shutdown.
+// down gracefully (in-flight requests get up to 5s to drain). Returns
+// nil on a clean shutdown.
 func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 	srv := &http.Server{
 		Handler:           s.handler,
@@ -294,22 +255,6 @@ func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 		// admission slot that the handler-level timeout alone cannot
 		// reclaim (the blocked body read pins the request).
 		ReadTimeout: s.cfg.RequestTimeout,
-	}
-	captCtx, captCancel := context.WithCancel(ctx)
-	defer captCancel()
-	var captDone chan struct{}
-	if s.capt.Windowed() {
-		captDone = make(chan struct{})
-		go func() {
-			s.capt.Run(captCtx)
-			close(captDone)
-		}()
-	}
-	waitCapt := func() {
-		captCancel() // also stops the loop when Serve exits on a listener error
-		if captDone != nil {
-			<-captDone
-		}
 	}
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()
@@ -320,11 +265,9 @@ func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 		defer cancel()
 		err := srv.Shutdown(shutdownCtx)
 		<-errc // srv.Serve has returned http.ErrServerClosed
-		waitCapt()
 		s.Close()
 		return err
 	case err := <-errc:
-		waitCapt()
 		s.Close()
 		if errors.Is(err, http.ErrServerClosed) {
 			return nil
@@ -337,7 +280,6 @@ func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 func (s *Server) acquire() bool {
 	select {
 	case s.sem <- struct{}{}:
-		s.requests.Add(1)
 		return true
 	default:
 		return false
@@ -353,6 +295,35 @@ func (s *Server) reject(w http.ResponseWriter) {
 	w.Header().Set("Retry-After", "1")
 	writeJSON(w, http.StatusTooManyRequests,
 		errorResponse{Error: "server at capacity"})
+}
+
+// declaredTooLarge answers 413 when the request declares a body longer
+// than MaxBodyBytes, before a single body byte is read.
+func (s *Server) declaredTooLarge(w http.ResponseWriter, r *http.Request) bool {
+	if r.ContentLength <= s.cfg.MaxBodyBytes {
+		return false
+	}
+	s.rejectOversize(w, fmt.Errorf("declared body length %d exceeds limit %d",
+		r.ContentLength, s.cfg.MaxBodyBytes))
+	return true
+}
+
+// bodyError answers a failed body read: 413 when MaxBodyBytes cut the
+// body off, 400 otherwise.
+func (s *Server) bodyError(w http.ResponseWriter, err error) {
+	var mbe *http.MaxBytesError
+	if errors.As(err, &mbe) {
+		s.rejectOversize(w, err)
+		return
+	}
+	writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
+}
+
+// rejectOversize answers 413 and counts the rejection.
+func (s *Server) rejectOversize(w http.ResponseWriter, err error) {
+	s.oversize.Add(1)
+	s.sp.Add("requests_rejected_oversize", 1)
+	writeJSON(w, http.StatusRequestEntityTooLarge, errorResponse{Error: err.Error()})
 }
 
 // maxPrealloc caps the buffer a declared Content-Length sizes up front;
@@ -392,14 +363,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	}
 	defer s.release()
 
-	// Reject oversized uploads before reading a single body byte when the
-	// client declares its length — the stream is never consumed.
-	if r.ContentLength > s.cfg.MaxBodyBytes {
-		s.sp.Add("requests_rejected_oversize", 1)
-		writeJSON(w, http.StatusRequestEntityTooLarge, errorResponse{
-			Error: fmt.Sprintf("declared body length %d exceeds limit %d",
-				r.ContentLength, s.cfg.MaxBodyBytes),
-		})
+	if s.declaredTooLarge(w, r) {
 		return
 	}
 
@@ -412,12 +376,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		// well-formed when the limit cut it off is 413. body keeps
 		// returning its error after the bytes read so far.
 		_, _, err = wire.DecodeProfileFrom(io.MultiReader(bytes.NewReader(data), body))
-		status := http.StatusBadRequest
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			status = http.StatusRequestEntityTooLarge
-		}
-		writeJSON(w, status, errorResponse{Error: err.Error()})
+		s.bodyError(w, err)
 		return
 	}
 
@@ -570,22 +529,12 @@ func (s *Server) handlePlanPut(w http.ResponseWriter, r *http.Request) {
 	}
 	defer s.release()
 
-	if r.ContentLength > s.cfg.MaxBodyBytes {
-		s.sp.Add("requests_rejected_oversize", 1)
-		writeJSON(w, http.StatusRequestEntityTooLarge, errorResponse{
-			Error: fmt.Sprintf("declared body length %d exceeds limit %d",
-				r.ContentLength, s.cfg.MaxBodyBytes),
-		})
+	if s.declaredTooLarge(w, r) {
 		return
 	}
 	plans, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
 	if err != nil {
-		status := http.StatusBadRequest
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			status = http.StatusRequestEntityTooLarge
-		}
-		writeJSON(w, status, errorResponse{Error: err.Error()})
+		s.bodyError(w, err)
 		return
 	}
 	ps, err := wire.DecodePlanSet(plans)
@@ -607,17 +556,15 @@ func (s *Server) handlePlanPut(w http.ResponseWriter, r *http.Request) {
 		src = key.Profile
 	}
 	s.store.PutLocal(key, planstore.Entry{Plans: plans, Source: src, Count: len(ps.Plans)})
+	s.replicaPuts.Add(1)
 	s.sp.Add("plan_cache_replica_puts", 1)
 	w.WriteHeader(http.StatusNoContent)
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	// The build block lets operators (and the -pgo-cycle harness) tell a
-	// profile-guided rebuild apart from a blind build of the same source.
 	writeJSON(w, http.StatusOK, map[string]any{
 		"status":        "ok",
 		"cache_entries": s.store.Len(),
-		"build":         pgo.Binary(),
 	})
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"maps"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -112,10 +113,11 @@ func TestLifecycle(t *testing.T) {
 	}
 }
 
-// TestReportAgreesWithMetrics: with -report, one ingest shows up both in
-// the /v1/metrics counters and — after shutdown — in the written obs
-// report's serve span, with an analysis span proving the daemon ran the
-// model exactly once.
+// TestReportAgreesWithMetrics: with -report, the written obs report's
+// serve span carries exactly the counters of the daemon's last
+// /v1/metrics reply, key for key — zero-valued ones included, and with
+// aggregation on, whose counters the plan store does not own. Two
+// ingests of one profile (a miss, then a hit) run the model exactly once.
 func TestReportAgreesWithMetrics(t *testing.T) {
 	e, ok := workloads.ByKey("IS")
 	if !ok {
@@ -126,66 +128,83 @@ func TestReportAgreesWithMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	defer obs.Disable() // run() enables the registry for -report
-	reportPath := filepath.Join(t.TempDir(), "report.json")
-	var stdout syncBuffer
-	base, cancel, done := startDaemon(t, &stdout, "-report", reportPath)
+	for _, tc := range []struct {
+		name string
+		args []string
+		// misses is plan_cache_misses after the two ingests: an analysis
+		// an aggregation window runs is not a plan-store miss.
+		misses int64
+	}{
+		{"plain", nil, 1},
+		{"aggregate", []string{"-aggregate-window", "2"}, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer obs.Disable() // run() enables the registry for -report
+			reportPath := filepath.Join(t.TempDir(), "report.json")
+			var stdout syncBuffer
+			base, cancel, done := startDaemon(t, &stdout,
+				append([]string{"-report", reportPath}, tc.args...)...)
 
-	resp, err := http.Post(base+"/v1/profiles", "application/octet-stream",
-		bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.StatusCode != http.StatusCreated {
-		t.Fatalf("ingest = %d, want 201", resp.StatusCode)
-	}
-	resp.Body.Close()
+			for i, want := range []int{http.StatusCreated, http.StatusOK} {
+				resp, err := http.Post(base+"/v1/profiles", "application/octet-stream",
+					bytes.NewReader(body))
+				if err != nil {
+					t.Fatal(err)
+				}
+				resp.Body.Close()
+				if resp.StatusCode != want {
+					t.Fatalf("ingest %d = %d, want %d", i+1, resp.StatusCode, want)
+				}
+			}
 
-	resp, err = http.Get(base + "/v1/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var m service.MetricsResponse
-	if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if m.Counters["plan_cache_misses"] != 1 {
-		t.Fatalf("metrics counters = %v", m.Counters)
-	}
+			resp, err := http.Get(base + "/v1/metrics")
+			if err != nil {
+				t.Fatal(err)
+			}
+			var m service.MetricsResponse
+			if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if m.Counters["plan_cache_hits"] != 1 || m.Counters["plan_cache_misses"] != tc.misses {
+				t.Fatalf("metrics counters = %v, want 1 hit and %d misses", m.Counters, tc.misses)
+			}
 
-	cancel()
-	select {
-	case code := <-done:
-		if code != 0 {
-			t.Fatalf("daemon exit = %d\nstdout: %s", code, stdout.String())
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("daemon did not exit")
-	}
+			cancel()
+			select {
+			case code := <-done:
+				if code != 0 {
+					t.Fatalf("daemon exit = %d\nstdout: %s", code, stdout.String())
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("daemon did not exit")
+			}
 
-	data, err := os.ReadFile(reportPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rep obs.Report
-	if err := json.Unmarshal(data, &rep); err != nil {
-		t.Fatalf("report is not valid JSON: %v", err)
-	}
-	var serveMisses int64 = -1
-	analyses := 0
-	for _, rec := range rep.Records {
-		if rec.Scope == "aptgetd/service" && rec.Stage == obs.StageServe {
-			serveMisses = rec.Counters["plan_cache_misses"]
-		}
-		if rec.Scope == "aptgetd/IS" && rec.Stage == obs.StageAnalysis {
-			analyses++
-		}
-	}
-	if serveMisses != 1 {
-		t.Fatalf("report serve span plan_cache_misses = %d, want 1 (matching /v1/metrics)", serveMisses)
-	}
-	if analyses != 1 {
-		t.Fatalf("report shows %d daemon analyses, want 1", analyses)
+			data, err := os.ReadFile(reportPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var rep obs.Report
+			if err := json.Unmarshal(data, &rep); err != nil {
+				t.Fatalf("report is not valid JSON: %v", err)
+			}
+			var serve map[string]int64
+			analyses := 0
+			for _, rec := range rep.Records {
+				if rec.Scope == "aptgetd/service" && rec.Stage == obs.StageServe {
+					serve = rec.Counters
+				}
+				if rec.Scope == "aptgetd/IS" && rec.Stage == obs.StageAnalysis {
+					analyses++
+				}
+			}
+			if !maps.Equal(serve, m.Counters) {
+				t.Fatalf("report serve span counters differ from /v1/metrics:\nreport:  %v\nmetrics: %v",
+					serve, m.Counters)
+			}
+			if analyses != 1 {
+				t.Fatalf("report shows %d daemon analyses, want 1", analyses)
+			}
+		})
 	}
 }

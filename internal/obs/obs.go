@@ -13,11 +13,10 @@
 // When enabled (aptbench -report / -trace, aptgetd -report), spans are
 // appended under a mutex: internal/runner fans pipeline runs out over a
 // worker pool, and concurrent Begin/End from pool goroutines is safe.
-// Each span additionally guards its own counters, so the serving layer
-// can mutate one long-lived span from concurrent request handlers while
-// Snapshot reads it. Snapshot orders
-// records deterministically by (scope, stage rank, begin sequence), so
-// the exported report does not depend on worker interleaving.
+// Each span also guards its own fields, so Snapshot may read a span that
+// is still being written. Snapshot orders records deterministically by
+// (scope, stage rank, begin sequence), so the exported report does not
+// depend on worker interleaving.
 //
 // The package is intentionally dependency-free (stdlib only): every
 // other pipeline package may import it without cycles.
@@ -38,19 +37,13 @@ const (
 	StageInject     = "inject"
 	StageExecute    = "execute"
 	StageExperiment = "experiment"
-	// StageServe scopes the aptgetd serving layer: plan-cache hit/miss/
-	// stale-match counters and backpressure rejections live on one
-	// long-lived span per server, mutated concurrently by handlers.
+	// StageServe scopes the aptgetd serving layer: one span per server,
+	// holding a copy of the counters /v1/metrics serves.
 	StageServe = "serve"
 
 	// StageReplan scopes the online re-planning controller: windows
 	// observed, degradation triggers, re-profiles and hot-swaps.
 	StageReplan = "replan"
-
-	// StagePGO scopes the daemon's self-profiling subsystem: CPU capture
-	// windows taken/skipped/flushed and profile artifact-store traffic,
-	// on one long-lived span per capturer.
-	StagePGO = "pgo"
 )
 
 // stageRank orders the canonical stages in pipeline order for reports.
@@ -68,10 +61,8 @@ func stageRank(stage string) int {
 		return 4
 	case StageServe:
 		return 5
-	case StagePGO:
-		return 6
 	}
-	return 7
+	return 6
 }
 
 // PlanRecord is the per-plan provenance attached to analysis spans and
@@ -136,9 +127,8 @@ type Span struct {
 	seq   uint64
 	begin time.Time
 
-	// mu guards the mutable fields: pipeline stages use a span from one
-	// goroutine, but the serving layer mutates one long-lived span from
-	// concurrent request handlers, and Snapshot may run while they do.
+	// mu guards the mutable fields: Snapshot, and the serving layer's
+	// concurrent /v1/metrics handlers, may run while a span is written.
 	mu       sync.Mutex
 	wallNS   int64
 	counters map[string]int64
@@ -269,19 +259,4 @@ func (s *Span) Timer(name string) func() {
 	}
 	start := time.Now()
 	return func() { s.Set(name+"_ns", time.Since(start).Nanoseconds()) }
-}
-
-// Counters returns a copy of the span's counters — the serving layer's
-// /v1/metrics endpoint reads a live span through this.
-func (s *Span) Counters() map[string]int64 {
-	if s == nil {
-		return nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make(map[string]int64, len(s.counters))
-	for k, v := range s.counters {
-		out[k] = v
-	}
-	return out
 }

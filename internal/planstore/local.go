@@ -5,7 +5,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"aptget/internal/obs"
 	"aptget/internal/wire"
 )
 
@@ -15,9 +14,9 @@ type entry struct {
 	Entry
 }
 
-// Local is the in-memory Backend: a bounded LRU of plan sets with three
-// indexes — exact key, fingerprint (the GET path), and loop-shape hash
-// (most recent entry per structure, the stale-match path).
+// Local is the Store's in-memory cache: a bounded LRU of plan sets with
+// three indexes — exact key, fingerprint (the GET path), and loop-shape
+// hash (most recent entry per structure, the stale-match path).
 //
 // Invariant: at most one entry per fingerprint. A Put whose fingerprint
 // is already stored refreshes the surviving element in place and
@@ -34,12 +33,10 @@ type Local struct {
 	byShape  map[wire.ShapeHash]*list.Element   // most recent entry per loop structure
 
 	evictions atomic.Int64
-
-	sp atomic.Pointer[obs.Span]
 }
 
-// NewLocal returns an LRU backend holding at most capacity plan sets
-// (≤0 selects DefaultCapacity).
+// NewLocal returns an LRU holding at most capacity plan sets (≤0
+// selects DefaultCapacity).
 func NewLocal(capacity int) *Local {
 	if capacity <= 0 {
 		capacity = DefaultCapacity
@@ -53,21 +50,11 @@ func NewLocal(capacity int) *Local {
 	}
 }
 
-// AttachObs mirrors the eviction counter onto an obs span.
-func (b *Local) AttachObs(sp *obs.Span) { b.sp.Store(sp) }
-
 // Len returns the number of cached plan sets.
 func (b *Local) Len() int {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.ll.Len()
-}
-
-// Counters exports the backend's counters.
-func (b *Local) Counters() map[string]int64 {
-	return map[string]int64{
-		"plan_cache_evictions": b.evictions.Load(),
-	}
 }
 
 // Lookup finds plans by exact profile fingerprint.
@@ -160,6 +147,5 @@ func (b *Local) Put(key Key, e Entry) {
 			delete(b.byShape, old.key.Shape)
 		}
 		b.evictions.Add(1)
-		b.sp.Load().Add("plan_cache_evictions", 1)
 	}
 }

@@ -1,18 +1,19 @@
-// Package planstore is aptgetd's content-addressed plan cache, split
-// into two layers so one policy engine serves many deployment shapes:
+// Package planstore is aptgetd's content-addressed plan cache. One
+// Store holds a bounded in-memory LRU (Local), the shard's sibling
+// peers, and the policies that serve from them:
 //
-//   - A Backend is the storage half: a container of encoded plan sets
-//     addressed by exact key, fingerprint, and loop-shape hash. Local
-//     (bounded in-memory LRU), Replicated (a Local plus sibling shards:
-//     warm handoff on miss, optional push replication), and Remote (an
-//     HTTP client for another daemon's plan surface) are interchangeable
-//     behind it.
-//   - The Store is the policy half, layered over any backend:
-//     single-flight deduplication (N concurrent requests for one profile
-//     trigger exactly one analysis) and stale-profile matching (after
-//     Ayupov et al.: an exact-fingerprint miss is served from an entry
-//     whose loop structure matches, raw PCs ignored, so plans survive
-//     binary drift without re-analysis).
+//   - single-flight deduplication: N concurrent requests for one
+//     profile trigger exactly one analysis;
+//   - stale-profile matching (after Ayupov et al.): an exact-fingerprint
+//     miss is served from an entry whose loop structure matches, raw PCs
+//     ignored, so plans survive binary drift without re-analysis;
+//   - warm handoff: a local miss asks each peer for the plans by
+//     fingerprint before computing, so a ring resize or shard restart
+//     re-serves cached analyses instead of re-running them;
+//   - push replication (optional): every plan set stored here, other
+//     than one that came from a peer, is forwarded best-effort to the
+//     peers, so any single shard can die without losing the fleet's
+//     plans.
 //
 // The store is safe for concurrent use and never blocks readers on a
 // running computation for a *different* key.
@@ -22,7 +23,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"aptget/internal/obs"
 	"aptget/internal/wire"
 )
 
@@ -53,39 +53,13 @@ type Entry struct {
 // exactly those bytes can be served by their hash alone.
 func (e Entry) Validated() bool { return e.App != "" }
 
-// Backend is the storage layer under the Store's policies. Lookups do
-// not count hits or misses — the policy layer owns that accounting.
-// Implementations must be safe for concurrent use.
-type Backend interface {
-	// Lookup finds plans by exact profile fingerprint (the GET
-	// /v1/plans/{fp} path, where no shape hash is available).
+// Peer is a sibling shard the store pulls warm handoffs from and
+// pushes replicas to. *Remote implements it; tests fake it. A peer that
+// also has a Counters method has its counters summed into the store's.
+type Peer interface {
 	Lookup(fp wire.Fingerprint) (Entry, bool)
-	// LookupKey finds plans by exact key.
-	LookupKey(key Key) (Entry, bool)
-	// LookupShape finds the most recently stored entry with the given
-	// loop-structure hash (the stale-match path).
-	LookupShape(shape wire.ShapeHash) (Entry, bool)
-	// Put stores plans under key, replacing any entry with the same
-	// fingerprint.
 	Put(key Key, e Entry)
-	// Len is the number of stored plan sets.
-	Len() int
-	// Counters exports backend-level counters (evictions, handoffs, ...)
-	// under the names /v1/metrics serves.
-	Counters() map[string]int64
 }
-
-// HandoffBackend is a Backend that can serve a miss from sibling shards
-// before the caller falls back to computing (plan-cache warm handoff).
-type HandoffBackend interface {
-	Backend
-	// Handoff asks the siblings for plans by fingerprint. It is called
-	// outside the store's locks and may do network I/O.
-	Handoff(fp wire.Fingerprint) (Entry, bool)
-}
-
-// obsAttacher lets backends mirror their counters into an obs span.
-type obsAttacher interface{ AttachObs(*obs.Span) }
 
 // Outcome says how a request was served.
 type Outcome int
@@ -138,86 +112,95 @@ type call struct {
 	err  error
 }
 
-// Store layers single-flight and stale-shape matching over a Backend.
+// Store layers single-flight, stale-shape matching, warm handoff and
+// push replication over a Local LRU.
 type Store struct {
 	mu       sync.Mutex // serializes the lookup→flight decision
-	backend  Backend
+	local    *Local
+	peers    []Peer
+	push     bool
 	inflight map[Key]*call
 
-	hits, staleMatches, misses, handoffs atomic.Int64
-
-	// optional mirror of the counters into the obs registry; atomic
-	// because count runs both under and outside s.mu.
-	sp atomic.Pointer[obs.Span]
+	hits, staleMatches, misses, handoffs, handoffMisses, pushes atomic.Int64
 }
 
 // DefaultCapacity bounds the cache when New is given a non-positive
 // capacity.
 const DefaultCapacity = 512
 
-// New returns a store over a Local backend holding at most capacity
-// plan sets (≤0 selects DefaultCapacity).
-func New(capacity int) *Store { return NewWithBackend(NewLocal(capacity)) }
+// New returns a store holding at most capacity plan sets (≤0 selects
+// DefaultCapacity), with no peers.
+func New(capacity int) *Store { return NewWithPeers(capacity, nil, false) }
 
-// NewWithBackend returns a store layering the caching policies over b.
-func NewWithBackend(b Backend) *Store {
+// NewWithPeers returns a store that serves local misses from peers
+// before computing and, when push is set, forwards every Put to all of
+// them (synchronously, best-effort).
+func NewWithPeers(capacity int, peers []Peer, push bool) *Store {
 	return &Store{
-		backend:  b,
+		local:    NewLocal(capacity),
+		peers:    peers,
+		push:     push,
 		inflight: make(map[Key]*call),
 	}
 }
 
-// Backend exposes the storage layer (daemon startup logging, tests).
-func (s *Store) Backend() Backend { return s.backend }
-
-// AttachObs mirrors the store's counters onto an obs span (aptgetd
-// -report): every hit/stale-match/miss/eviction is Add()ed there too, so
-// a report written by the daemon agrees with /v1/metrics.
-func (s *Store) AttachObs(sp *obs.Span) {
-	s.sp.Store(sp)
-	if a, ok := s.backend.(obsAttacher); ok {
-		a.AttachObs(sp)
-	}
-}
-
 // Len returns the number of cached plan sets.
-func (s *Store) Len() int { return s.backend.Len() }
+func (s *Store) Len() int { return s.local.Len() }
 
-// Counters exports the policy counters merged with the backend's, under
-// the names the obs layer and /v1/metrics share.
+// Counters exports the store's counters, plus its peers' when it has
+// any, under the names /v1/metrics serves.
 func (s *Store) Counters() map[string]int64 {
 	c := map[string]int64{
 		"plan_cache_hits":          s.hits.Load(),
 		"plan_cache_stale_matches": s.staleMatches.Load(),
 		"plan_cache_misses":        s.misses.Load(),
+		"plan_cache_evictions":     s.local.evictions.Load(),
 	}
-	if s.handoffs.Load() > 0 {
-		c["plan_cache_handoffs"] = s.handoffs.Load()
+	if n := s.handoffs.Load(); n > 0 {
+		c["plan_cache_handoffs"] = n
 	}
-	for k, v := range s.backend.Counters() {
-		c[k] += v
+	if len(s.peers) == 0 {
+		return c
+	}
+	c["plan_cache_handoff_misses"] = s.handoffMisses.Load()
+	if s.push {
+		c["plan_cache_replication_pushes"] = s.pushes.Load()
+	}
+	for _, p := range s.peers {
+		if pc, ok := p.(interface{ Counters() map[string]int64 }); ok {
+			for k, v := range pc.Counters() {
+				c[k] += v
+			}
+		}
 	}
 	return c
 }
 
+// handoff sweeps the peers for plans by fingerprint, first hit wins. It
+// runs outside the store's locks: peer lookups may do network I/O.
+func (s *Store) handoff(fp wire.Fingerprint) (Entry, bool) {
+	for _, p := range s.peers {
+		if e, ok := p.Lookup(fp); ok {
+			s.handoffs.Add(1)
+			return e, true
+		}
+	}
+	s.handoffMisses.Add(1)
+	return Entry{}, false
+}
+
 // Get looks up plans by exact profile fingerprint (the GET /v1/plans
-// path). On a local miss a handoff-capable backend asks its sibling
-// shards — a router failing over to the next ring member still serves
-// the plans the dead owner computed. Does not count hits or misses;
-// ingestion owns that accounting.
+// path). On a local miss it asks the peers — a router failing over to
+// the next ring member still serves the plans the dead owner computed.
+// Does not count hits or misses; ingestion owns that accounting.
 func (s *Store) Get(fp wire.Fingerprint) (Entry, bool) {
-	if e, ok := s.backend.Lookup(fp); ok {
+	if e, ok := s.local.Lookup(fp); ok {
 		return e, true
 	}
-	h, ok := s.backend.(HandoffBackend)
+	e, ok := s.handoff(fp)
 	if !ok {
 		return Entry{}, false
 	}
-	e, ok := h.Handoff(fp)
-	if !ok {
-		return Entry{}, false
-	}
-	s.count(&s.handoffs, "plan_cache_handoffs")
 	// Cache the handed-off plans under a fingerprint-only key; a later
 	// ingest of the same profile upgrades the entry with its shape. Local
 	// only — the plans just came from a peer.
@@ -226,11 +209,11 @@ func (s *Store) Get(fp wire.Fingerprint) (Entry, bool) {
 	return e, true
 }
 
-// GetLocal is Get restricted to the local backend — the serving path
-// for fleet-internal requests (siblings asking for a warm handoff must
-// not recurse into another round of handoffs).
+// GetLocal is Get without the handoff — the serving path for
+// fleet-internal requests (siblings asking for a warm handoff must not
+// recurse into another round of handoffs).
 func (s *Store) GetLocal(fp wire.Fingerprint) (Entry, bool) {
-	return s.backend.Lookup(fp)
+	return s.local.Lookup(fp)
 }
 
 // Hit serves a repeat of profile bytes this daemon's own ingest already
@@ -240,30 +223,31 @@ func (s *Store) GetLocal(fp wire.Fingerprint) (Entry, bool) {
 // so the caller must decode and go through Ingest or TryGet, which
 // validate and upgrade it. A miss counts nothing.
 func (s *Store) Hit(fp wire.Fingerprint) (Entry, bool) {
-	e, ok := s.backend.Lookup(fp)
+	e, ok := s.local.Lookup(fp)
 	if !ok || !e.Validated() {
 		return Entry{}, false
 	}
-	s.count(&s.hits, "plan_cache_hits")
+	s.hits.Add(1)
 	return e, true
 }
 
-// Put stores externally computed plans (aggregated analyses) under key,
-// counting nothing. Replicating backends push to peers.
-func (s *Store) Put(key Key, e Entry) { s.backend.Put(key, e) }
-
-// localPutter is a backend (Replicated) that can store without pushing.
-type localPutter interface{ PutLocal(key Key, e Entry) }
+// Put stores plans under key, counting nothing, and pushes them to
+// every peer when push replication is on. Peer failures are the peer's
+// to count.
+func (s *Store) Put(key Key, e Entry) {
+	s.local.Put(key, e)
+	if !s.push {
+		return
+	}
+	for _, p := range s.peers {
+		s.pushes.Add(1)
+		p.Put(key, e)
+	}
+}
 
 // PutLocal stores under key without replicating — the path for plans
 // that already came from a peer, so pushes cannot echo around the fleet.
-func (s *Store) PutLocal(key Key, e Entry) {
-	if lp, ok := s.backend.(localPutter); ok {
-		lp.PutLocal(key, e)
-		return
-	}
-	s.backend.Put(key, e)
-}
+func (s *Store) PutLocal(key Key, e Entry) { s.local.Put(key, e) }
 
 // labelled is the entry an ingest of key stores and serves: e's plans,
 // marked Validated for key's profile when app (the application the
@@ -294,7 +278,7 @@ func (s *Store) exactHit(key Key, app string, e Entry) (Entry, Result) {
 // a racing duplicate alias is idempotent.
 func (s *Store) staleMatch(key Key, app string, src Entry) (Entry, Result) {
 	alias := labelled(key, app, src)
-	s.backend.Put(key, alias)
+	s.Put(key, alias)
 	return alias, Result{Outcome: OutcomeStaleMatch, Source: src.Source}
 }
 
@@ -304,14 +288,14 @@ func (s *Store) staleMatch(key Key, app string, src Entry) (Entry, Result) {
 // is the application the decoded profile named, as for Ingest.
 func (s *Store) TryGet(key Key, app string) (Entry, Result, bool) {
 	s.mu.Lock()
-	if e, ok := s.backend.LookupKey(key); ok {
-		s.count(&s.hits, "plan_cache_hits")
+	if e, ok := s.local.LookupKey(key); ok {
+		s.hits.Add(1)
 		s.mu.Unlock()
 		e, res := s.exactHit(key, app, e)
 		return e, res, true
 	}
-	if e, ok := s.backend.LookupShape(key.Shape); ok {
-		s.count(&s.staleMatches, "plan_cache_stale_matches")
+	if e, ok := s.local.LookupShape(key.Shape); ok {
+		s.staleMatches.Add(1)
 		s.mu.Unlock()
 		e, res := s.staleMatch(key, app, e)
 		return e, res, true
@@ -332,10 +316,9 @@ func (s *Store) GetOrCompute(key Key, compute func() ([]byte, error)) ([]byte, R
 }
 
 // Ingest serves key from the cache, from a same-shape stale entry, from
-// an in-flight computation of the same key, from a sibling shard's
-// cache (handoff-capable backends), or — exactly once per key — by
-// running compute, whose Entry supplies the plans and their count.
-// compute runs without the store lock held.
+// an in-flight computation of the same key, from a peer's cache, or —
+// exactly once per key — by running compute, whose Entry supplies the
+// plans and their count. compute runs without the store lock held.
 //
 // app is the application named by the profile whose fingerprint is
 // key.Profile, which the caller has decoded and validated. Every entry
@@ -345,8 +328,8 @@ func (s *Store) Ingest(key Key, app string, compute func() (Entry, error)) (Entr
 	s.mu.Lock()
 
 	// 1. Exact hit.
-	if e, ok := s.backend.LookupKey(key); ok {
-		s.count(&s.hits, "plan_cache_hits")
+	if e, ok := s.local.LookupKey(key); ok {
+		s.hits.Add(1)
 		s.mu.Unlock()
 		e, res := s.exactHit(key, app, e)
 		return e, res, nil
@@ -355,7 +338,7 @@ func (s *Store) Ingest(key Key, app string, compute func() (Entry, error)) (Entr
 	// 2. Same key already being computed: wait for it rather than
 	// serving stale — the exact answer is moments away.
 	if c, ok := s.inflight[key]; ok {
-		s.count(&s.hits, "plan_cache_hits")
+		s.hits.Add(1)
 		s.mu.Unlock()
 		<-c.done
 		if c.err != nil {
@@ -366,8 +349,8 @@ func (s *Store) Ingest(key Key, app string, compute func() (Entry, error)) (Entr
 
 	// 3. Stale match: an entry computed from a different profile of the
 	// same loop structure. Serve its plans verbatim, no analysis.
-	if e, ok := s.backend.LookupShape(key.Shape); ok {
-		s.count(&s.staleMatches, "plan_cache_stale_matches")
+	if e, ok := s.local.LookupShape(key.Shape); ok {
+		s.staleMatches.Add(1)
 		s.mu.Unlock()
 		e, res := s.staleMatch(key, app, e)
 		return e, res, nil
@@ -382,17 +365,14 @@ func (s *Store) Ingest(key Key, app string, compute func() (Entry, error)) (Entr
 	// 4a. Warm handoff: ask sibling shards before computing. Runs inside
 	// the flight, so a burst for one key costs at most one sibling sweep.
 	outcome := OutcomeMiss
-	if h, ok := s.backend.(HandoffBackend); ok {
-		if e, ok := h.Handoff(key.Profile); ok {
-			s.count(&s.handoffs, "plan_cache_handoffs")
-			c.e = labelled(key, app, e)
-			outcome = OutcomeHandoff
-		}
+	if e, ok := s.handoff(key.Profile); ok {
+		c.e = labelled(key, app, e)
+		outcome = OutcomeHandoff
 	}
 
 	// 4b. True miss: run the analysis.
 	if outcome == OutcomeMiss {
-		s.count(&s.misses, "plan_cache_misses")
+		s.misses.Add(1)
 		var e Entry
 		if e, c.err = compute(); c.err == nil {
 			e.Source = key.Profile
@@ -400,7 +380,7 @@ func (s *Store) Ingest(key Key, app string, compute func() (Entry, error)) (Entr
 		}
 	}
 
-	// Publish to the backend before dropping the flight, so a request
+	// Publish to the cache before dropping the flight, so a request
 	// arriving between the two sees the cached entry rather than opening
 	// a second flight. The Put stays outside s.mu — it may push to peers.
 	// Handed-off plans store locally only: they just came from a peer.
@@ -408,7 +388,7 @@ func (s *Store) Ingest(key Key, app string, compute func() (Entry, error)) (Entr
 		if outcome == OutcomeHandoff {
 			s.PutLocal(key, c.e)
 		} else {
-			s.backend.Put(key, c.e)
+			s.Put(key, c.e)
 		}
 	}
 	s.mu.Lock()
@@ -420,11 +400,4 @@ func (s *Store) Ingest(key Key, app string, compute func() (Entry, error)) (Entr
 		return Entry{}, Result{}, c.err
 	}
 	return c.e, Result{Outcome: outcome, Source: c.e.Source}, nil
-}
-
-// count bumps an atomic and mirrors it into the obs span when attached.
-// The span is nil-safe and has its own lock.
-func (s *Store) count(a *atomic.Int64, name string) {
-	a.Add(1)
-	s.sp.Load().Add(name, 1)
 }

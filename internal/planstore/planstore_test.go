@@ -196,7 +196,7 @@ func TestComputeErrorIsNotCached(t *testing.T) {
 	}
 }
 
-// checkConsistent verifies the Local backend's structural invariants:
+// checkConsistent verifies the Local LRU's structural invariants:
 // every index entry points at a live list element, the exact-key and
 // fingerprint indexes are exactly one per element, and Len agrees with
 // all of them.
@@ -321,7 +321,7 @@ func TestPutUpgradesFingerprintOnlyAlias(t *testing.T) {
 // references an evicted element, and Len agrees with the map sizes.
 func TestEvictionChurnKeepsMapsConsistent(t *testing.T) {
 	s := New(8)
-	b := s.Backend().(*Local)
+	b := s.local
 	shapes := []string{"sA", "sB", "sC"}
 	for i := 0; i < 200; i++ {
 		k := key(i, shapes[i%len(shapes)])
@@ -384,7 +384,7 @@ func TestWarmHandoffServesSiblingPlans(t *testing.T) {
 	peer := newFakePeer()
 	k := key(1, "sA")
 	peer.entries[k.Profile] = Entry{Plans: plans(1), Source: k.Profile}
-	s := NewWithBackend(NewReplicated(NewLocal(4), []Peer{newFakePeer(), peer}, false))
+	s := NewWithPeers(4, []Peer{newFakePeer(), peer}, false)
 
 	computed := false
 	got, res, err := s.GetOrCompute(k, func() ([]byte, error) {
@@ -425,7 +425,7 @@ func TestHandoffOnGetByFingerprint(t *testing.T) {
 	peer := newFakePeer()
 	fp := wire.Fingerprint("fp-001")
 	peer.entries[fp] = Entry{Plans: plans(1), Source: fp}
-	s := NewWithBackend(NewReplicated(NewLocal(4), []Peer{peer}, false))
+	s := NewWithPeers(4, []Peer{peer}, false)
 
 	got, ok := s.Get(fp)
 	if !ok || !bytes.Equal(got.Plans, plans(1)) {
@@ -440,7 +440,7 @@ func TestHandoffOnGetByFingerprint(t *testing.T) {
 
 func TestReplicationPushMirrorsPuts(t *testing.T) {
 	peer := newFakePeer()
-	s := NewWithBackend(NewReplicated(NewLocal(4), []Peer{peer}, true))
+	s := NewWithPeers(4, []Peer{peer}, true)
 	k := key(1, "sA")
 	mustCompute(t, s, k, 1)
 	if e, ok := peer.entries[k.Profile]; !ok || !bytes.Equal(e.Plans, plans(1)) {
@@ -456,7 +456,7 @@ func TestReplicationPushMirrorsPuts(t *testing.T) {
 // handoff alias, until a decoding ingest of that fingerprint marks it.
 func TestHitServesOnlyValidatedEntries(t *testing.T) {
 	peer := newFakePeer()
-	s := NewWithBackend(NewReplicated(NewLocal(8), []Peer{peer}, false))
+	s := NewWithPeers(8, []Peer{peer}, false)
 	ingest := func(k Key) Result {
 		t.Helper()
 		e, res, err := s.Ingest(k, "app", func() (Entry, error) { return Entry{Plans: plans(1), Count: 1}, nil })

@@ -2,8 +2,6 @@ package planstore
 
 import (
 	"bytes"
-	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
 	"strings"
@@ -14,22 +12,19 @@ import (
 )
 
 // Fleet-internal HTTP headers. HeaderInternal marks a request as coming
-// from a sibling shard (or a backend acting for one): the serving
-// daemon answers from its local backend only, so warm handoffs cannot
-// recurse around the fleet. HeaderShape and HeaderSource carry the key
-// metadata plan bytes alone do not encode.
+// from a sibling shard: the serving daemon answers from its local cache
+// only, so warm handoffs cannot recurse around the fleet. HeaderShape
+// and HeaderSource carry the key metadata plan bytes alone do not
+// encode.
 const (
 	HeaderInternal = "X-Apt-Internal"
 	HeaderShape    = "X-Apt-Shape"
 	HeaderSource   = "X-Apt-Source"
 )
 
-// Remote is an HTTP-backed Backend: a client for another daemon's
-// /v1/plans surface, so a diskless front can serve from a remote cache,
-// and the Replicated backend can treat sibling shards as peers.
-//
-// LookupShape is unsupported (the HTTP surface is fingerprint-addressed)
-// and always misses; stale-shape matching stays a local-policy concern.
+// Remote is the Peer for a sibling daemon: a client for its /v1/plans
+// surface. Lookups are fingerprint-addressed; stale-shape matching stays
+// local to each store.
 type Remote struct {
 	base   string
 	client *http.Client
@@ -40,7 +35,7 @@ type Remote struct {
 // DefaultRemoteTimeout bounds one remote lookup or replication push.
 const DefaultRemoteTimeout = 5 * time.Second
 
-// NewRemote returns a backend over the daemon at base (host:port or
+// NewRemote returns a client for the daemon at base (host:port or
 // http URL). timeout ≤0 selects DefaultRemoteTimeout.
 func NewRemote(base string, timeout time.Duration) *Remote {
 	if !strings.Contains(base, "://") {
@@ -54,9 +49,6 @@ func NewRemote(base string, timeout time.Duration) *Remote {
 		client: &http.Client{Timeout: timeout},
 	}
 }
-
-// Base returns the remote's base URL.
-func (r *Remote) Base() string { return r.base }
 
 // Lookup fetches plans by fingerprint from the remote daemon. Bytes that
 // are not a canonical plan set count as an error and a miss.
@@ -102,14 +94,6 @@ func (r *Remote) Lookup(fp wire.Fingerprint) (Entry, bool) {
 	return Entry{Plans: plans, Source: src, Count: len(ps.Plans)}, true
 }
 
-// LookupKey approximates exact-key lookup by fingerprint (the remote
-// surface is fingerprint-addressed; fingerprints are content addresses,
-// so the shape cannot disagree for canonical profiles).
-func (r *Remote) LookupKey(key Key) (Entry, bool) { return r.Lookup(key.Profile) }
-
-// LookupShape always misses: stale-shape matching is local policy.
-func (r *Remote) LookupShape(wire.ShapeHash) (Entry, bool) { return Entry{}, false }
-
 // Put pushes plans to the remote daemon's replication endpoint
 // (PUT /v1/plans/{fp}). Best-effort: failures are counted, not raised.
 func (r *Remote) Put(key Key, e Entry) {
@@ -140,25 +124,9 @@ func (r *Remote) Put(key Key, e Entry) {
 	}
 }
 
-// Len asks the remote daemon's healthz for its cache size (0 when
-// unreachable).
-func (r *Remote) Len() int {
-	resp, err := r.client.Get(r.base + "/v1/healthz")
-	if err != nil {
-		return 0
-	}
-	defer resp.Body.Close()
-	var h struct {
-		CacheEntries int `json:"cache_entries"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
-		return 0
-	}
-	return h.CacheEntries
-}
-
-// Counters exports the remote client's counters, qualified by base so a
-// replicated store's peers stay distinguishable.
+// Counters exports the remote client's counters. A store sums them over
+// all its peers, so /v1/metrics shows fleet-wide peer traffic, not one
+// count per base URL.
 func (r *Remote) Counters() map[string]int64 {
 	c := map[string]int64{
 		"remote_plan_gets": r.gets.Load(),
@@ -169,6 +137,3 @@ func (r *Remote) Counters() map[string]int64 {
 	}
 	return c
 }
-
-// String names the remote for logs.
-func (r *Remote) String() string { return fmt.Sprintf("remote(%s)", r.base) }

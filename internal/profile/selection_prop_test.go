@@ -11,16 +11,16 @@ import (
 // genCandidates builds a seed-deterministic share-gated candidate set:
 // unique PCs, skewed sample counts, stall sums ranging from zero (an
 // always-in-flight load) to fully exposed misses. Roughly one set in
-// eight carries no stall data at all, exercising the legacy 1-D
-// fallback.
+// eight carries no stall data at all, exercising the 1-D fallback for
+// profiles without latency sampling.
 func genCandidates(r *testkit.RNG) []pebs.Load {
 	n := 1 + r.Intn(40)
 	loads := make([]pebs.Load, n)
-	legacy := r.Intn(8) == 0
+	noStall := r.Intn(8) == 0
 	for i := range loads {
 		samples := uint64(1 + r.Intn(1000))
 		var stall uint64
-		if !legacy && r.Intn(5) > 0 {
+		if !noStall && r.Intn(5) > 0 {
 			stall = samples * uint64(r.Intn(300))
 		}
 		loads[i] = pebs.Load{
@@ -61,7 +61,7 @@ func TestSelectLoadsOrderIndependent(t *testing.T) {
 			opt.MinLoadSCKPI = float64(r.Intn(200))
 		}
 
-		// A set with no stall data takes the legacy 1-D fallback even
+		// A set with no stall data takes the 1-D fallback even
 		// when MPKIOnly is off; that path, like the explicit ablation,
 		// preserves input order by design (ranked upstream by
 		// Delinquent), so it is checked as a set rather than a sequence.

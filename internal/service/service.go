@@ -79,9 +79,9 @@ type Config struct {
 	MaxBodyBytes int64
 
 	// Peers lists sibling shard addresses (host:port or http URL). When
-	// non-empty the plan cache becomes a Replicated backend: local misses
-	// try a warm handoff from each peer before computing, and internal
-	// requests from peers are answered from the local cache only.
+	// non-empty, local cache misses try a warm handoff from each peer
+	// before computing, and internal requests from peers are answered
+	// from the local cache only.
 	Peers []string
 
 	// Replicate pushes every cached plan set to all Peers (best-effort),
@@ -135,13 +135,14 @@ type Server struct {
 	sem     chan struct{}
 	handler http.Handler
 
-	// Server-level counters, read by Counters and mirrored into sp.
+	// Server-level counters, read by Counters.
 	rejected    atomic.Int64
 	oversize    atomic.Int64
 	replicaPuts atomic.Int64
 
-	// sp is the long-lived serve span the cache counters mirror into
-	// when the obs registry is enabled at construction (aptgetd -report).
+	// sp is the "aptgetd/service" serve span when the obs registry is
+	// enabled at construction (aptgetd -report). Its counters are a copy
+	// of Counters, taken when /v1/metrics snapshots and on Close.
 	sp *obs.Span
 }
 
@@ -177,30 +178,27 @@ type errorResponse struct {
 	Error string `json:"error"`
 }
 
-// New constructs a server. If the obs registry is enabled when New runs,
-// the server opens one long-lived "aptgetd/service" serve span and
-// mirrors its counters there, so a daemon-written report agrees with
-// /v1/metrics.
+// New constructs a server whose plan cache holds cfg.CacheCapacity plan
+// sets and treats each of cfg.Peers as a sibling shard. If the obs
+// registry is enabled when New runs, the server also opens an
+// "aptgetd/service" serve span; /v1/metrics and Close copy Counters into
+// it, so a daemon-written report carries the same counters as the last
+// /v1/metrics reply.
 func New(cfg Config) *Server {
 	cfg.fill()
-	var backend planstore.Backend = planstore.NewLocal(cfg.CacheCapacity)
-	if len(cfg.Peers) > 0 {
-		peers := make([]planstore.Peer, 0, len(cfg.Peers))
-		for _, addr := range cfg.Peers {
-			peers = append(peers, planstore.NewRemote(addr, cfg.PeerTimeout))
-		}
-		backend = planstore.NewReplicated(backend, peers, cfg.Replicate)
+	var peers []planstore.Peer
+	for _, addr := range cfg.Peers {
+		peers = append(peers, planstore.NewRemote(addr, cfg.PeerTimeout))
 	}
 	s := &Server{
 		cfg:   cfg,
-		store: planstore.NewWithBackend(backend),
+		store: planstore.NewWithPeers(cfg.CacheCapacity, peers, cfg.Replicate),
 		sem:   make(chan struct{}, cfg.MaxInflight),
 		sp:    obs.Begin("aptgetd/service", obs.StageServe),
 	}
 	if cfg.AggregateWindow >= 2 {
 		s.batcher = aggregate.NewBatcher(cfg.AggregateWindow, cfg.AggregateWait)
 	}
-	s.store.AttachObs(s.sp)
 
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/profiles", s.handleIngest)
@@ -241,8 +239,12 @@ func (s *Server) Counters() map[string]int64 {
 	return c
 }
 
-// Close ends the server's obs spans. Idempotent; Serve calls it on exit.
-func (s *Server) Close() { s.sp.End() }
+// Close copies Counters into the serve span and ends it. Idempotent;
+// Serve calls it on exit.
+func (s *Server) Close() {
+	s.sp.SetAll(s.Counters())
+	s.sp.End()
+}
 
 // Serve accepts connections on ln until ctx is cancelled, then shuts
 // down gracefully (in-flight requests get up to 5s to drain). Returns
@@ -291,7 +293,6 @@ func (s *Server) release() { <-s.sem }
 // reject answers 429 and counts the rejection.
 func (s *Server) reject(w http.ResponseWriter) {
 	s.rejected.Add(1)
-	s.sp.Add("requests_rejected_backpressure", 1)
 	w.Header().Set("Retry-After", "1")
 	writeJSON(w, http.StatusTooManyRequests,
 		errorResponse{Error: "server at capacity"})
@@ -322,7 +323,6 @@ func (s *Server) bodyError(w http.ResponseWriter, err error) {
 // rejectOversize answers 413 and counts the rejection.
 func (s *Server) rejectOversize(w http.ResponseWriter, err error) {
 	s.oversize.Add(1)
-	s.sp.Add("requests_rejected_oversize", 1)
 	writeJSON(w, http.StatusRequestEntityTooLarge, errorResponse{Error: err.Error()})
 }
 
@@ -557,7 +557,6 @@ func (s *Server) handlePlanPut(w http.ResponseWriter, r *http.Request) {
 	}
 	s.store.PutLocal(key, planstore.Entry{Plans: plans, Source: src, Count: len(ps.Plans)})
 	s.replicaPuts.Add(1)
-	s.sp.Add("plan_cache_replica_puts", 1)
 	w.WriteHeader(http.StatusNoContent)
 }
 
@@ -571,6 +570,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	resp := MetricsResponse{Counters: s.Counters()}
 	if obs.Enabled() {
+		s.sp.SetAll(resp.Counters)
 		resp.Obs = obs.Snapshot()
 	}
 	writeJSON(w, http.StatusOK, resp)

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -161,6 +162,14 @@ func TestSingleFlightConcurrentIngest(t *testing.T) {
 			}
 			statuses[i] = resp.StatusCode
 			outcomes[i] = ir.Outcome
+			// Scrape while other ingests run: each scrape copies the
+			// counters into the serve span.
+			mr, err := http.Get(ts.URL + "/v1/metrics")
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			mr.Body.Close()
 		}(i)
 	}
 	wg.Wait()
@@ -197,6 +206,17 @@ func TestSingleFlightConcurrentIngest(t *testing.T) {
 	}
 	if m.Obs == nil {
 		t.Fatal("metrics response missing obs report while registry enabled")
+	}
+
+	srv.Close()
+	var serve map[string]int64
+	for _, rec := range obs.Snapshot().Records {
+		if rec.Scope == "aptgetd/service" && rec.Stage == obs.StageServe {
+			serve = rec.Counters
+		}
+	}
+	if !maps.Equal(serve, srv.Counters()) {
+		t.Fatalf("serve span counters %v, want Counters() %v", serve, srv.Counters())
 	}
 }
 
@@ -417,6 +437,12 @@ func TestErrorPaths(t *testing.T) {
 	// Garbage frame → 400.
 	if status, _ := postProfile(t, ts, []byte("not a frame")); status != http.StatusBadRequest {
 		t.Fatalf("garbage ingest = %d, want 400", status)
+	}
+	// Version-1 frame → 400: the decoder accepts only wire.Version.
+	v1 := wire.EncodeProfile(&wire.Profile{App: "IS", Cycles: 1})
+	v1[4] = 1 // the version byte follows the 4-byte magic
+	if status, _ := postProfile(t, ts, v1); status != http.StatusBadRequest {
+		t.Fatalf("version-1 ingest = %d, want 400", status)
 	}
 	// Unknown application → 422.
 	unknown := wire.EncodeProfile(&wire.Profile{App: "no-such-app", Cycles: 1})

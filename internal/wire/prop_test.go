@@ -12,7 +12,8 @@ import (
 
 // randomProfile draws a profile from the testkit generators: adversarial
 // LBR streams (wrapped stamps, truncated snapshots) under random latch
-// sets, random delinquent loads, and a random loop nest.
+// sets, random delinquent loads with non-zero stall sums, and a random
+// loop nest.
 func randomProfile(r *testkit.RNG) *Profile {
 	latch := []uint64{uint64(8 + r.Intn(512)), uint64(600 + r.Intn(512))}
 	breakers := []uint64{uint64(2000 + r.Intn(512))}
@@ -24,9 +25,10 @@ func randomProfile(r *testkit.RNG) *Profile {
 	if n := r.Intn(6); n > 0 {
 		for i := 0; i < n; i++ {
 			p.Loads = append(p.Loads, Load{
-				PC:      uint64(r.Intn(4096)),
-				Samples: uint64(1 + r.Intn(1000)),
-				Share:   r.Float64(),
+				PC:          uint64(r.Intn(4096)),
+				Samples:     uint64(1 + r.Intn(1000)),
+				StallCycles: uint64(1 + r.Intn(1<<20)),
+				Share:       r.Float64(),
 			})
 		}
 	}
@@ -51,6 +53,8 @@ func randomProfile(r *testkit.RNG) *Profile {
 	return p
 }
 
+// randomPlanSet draws plans with every field set, including the non-zero
+// 2-D selection provenance (Score, MeanStall).
 func randomPlanSet(r *testkit.RNG) *PlanSet {
 	ps := &PlanSet{App: "prop"}
 	for i, n := 0, r.Intn(8); i < n; i++ {
@@ -68,6 +72,8 @@ func randomPlanSet(r *testkit.RNG) *PlanSet {
 			LatencySamples:      r.Int63n(10000),
 			DroppedNonMonotonic: r.Int63n(50),
 			Fallback:            []string{"", "trip count unmeasurable (LBR overflow); inner site kept"}[r.Intn(2)],
+			Score:               1 + r.Float64()*1000,
+			MeanStall:           1 + r.Float64()*400,
 		}
 		for j, m := 0, r.Intn(4); j < m; j++ {
 			pl.PeaksInner = append(pl.PeaksInner, r.Float64()*400)

@@ -34,18 +34,13 @@ import (
 	"aptget/internal/profile"
 )
 
-// Version is the current wire-format version. Decoders reject frames
-// with an unknown version rather than guessing at field layouts; the
-// legacy version below is still accepted for reads.
+// Version is the wire-format version. Decoders reject frames with any
+// other version rather than guessing at field layouts.
 //
 // Version 2 added the per-load exposed-stall dimension: Load carries
 // StallCycles and Plan carries the 2-D selection provenance (Score,
-// MeanStall). Version-1 frames decode with those fields zero — the
-// profile predates latency sampling — and re-encode as version 2.
+// MeanStall). Version-1 frames, which lack them, are rejected.
 const Version = 2
-
-// LegacyVersion is the oldest frame version decoders still accept.
-const LegacyVersion = 1
 
 // Frame kinds (the byte after the header's version).
 const (
@@ -55,7 +50,7 @@ const (
 
 // Load mirrors pebs.Load on the wire: one delinquent-load candidate.
 // StallCycles is the summed exposed stall of the PC's sampled misses
-// (zero in legacy version-1 frames).
+// (zero when the profile carries no latency sampling).
 type Load struct {
 	PC          uint64
 	Samples     uint64
@@ -111,7 +106,7 @@ type Plan struct {
 	DroppedNonMonotonic int64
 	Fallback            string
 
-	// 2-D selection provenance (version 2; zero in legacy frames).
+	// 2-D selection provenance.
 	Score     float64
 	MeanStall float64
 }

@@ -144,12 +144,21 @@ func TestDecodeRejectsMalformedFrames(t *testing.T) {
 			t.Errorf("%s: DecodeProfile accepted a malformed frame", name)
 		}
 	}
-	// Version mismatch: patch the version varint (offset 4, value 1).
-	bad := append([]byte(nil), good...)
-	bad[4] = Version + 1
-	if _, err := DecodeProfile(bad); err == nil ||
-		!strings.Contains(err.Error(), "version") {
-		t.Errorf("future version accepted: %v", err)
+	// Any version but Version, the retired version 1 included: patch the
+	// one-byte version varint at offset 4 of both frame kinds.
+	for _, v := range []byte{1, Version + 1} {
+		bad := append([]byte(nil), good...)
+		bad[4] = v
+		if _, err := DecodeProfile(bad); err == nil ||
+			!strings.Contains(err.Error(), "version") {
+			t.Errorf("profile version %d accepted: %v", v, err)
+		}
+		badPS := EncodePlanSet(samplePlanSet())
+		badPS[4] = v
+		if _, err := DecodePlanSet(badPS); err == nil ||
+			!strings.Contains(err.Error(), "version") {
+			t.Errorf("plan-set version %d accepted: %v", v, err)
+		}
 	}
 	// A length prefix larger than the frame must error, not allocate.
 	huge := append([]byte(nil), good[:6]...)          // header only
@@ -192,4 +201,24 @@ func profileEqual(a, b *Profile) bool {
 
 func planSetEqual(a, b *PlanSet) bool {
 	return bytes.Equal(EncodePlanSet(a), EncodePlanSet(b))
+}
+
+// TestToProfileMeanStall: ToProfile recovers each load's mean exposed
+// stall from the summed StallCycles the wire carries.
+func TestToProfileMeanStall(t *testing.T) {
+	p := sampleProfile()
+	p.Canonicalize()
+	for i := range p.Loads {
+		p.Loads[i].StallCycles = uint64(1000 + 100*i)
+	}
+	got, err := DecodeProfile(EncodeProfile(p))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, l := range got.ToProfile().Loads {
+		want := float64(p.Loads[i].StallCycles) / float64(p.Loads[i].Samples)
+		if l.MeanStall != want {
+			t.Fatalf("ToProfile load %d MeanStall = %v, want %v", i, l.MeanStall, want)
+		}
+	}
 }

@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sync"
 )
@@ -85,18 +86,11 @@ func (a *Arena) Read(addr int64, size uint8) int64 {
 	case 1:
 		return int64(int8(a.data[addr]))
 	case 2:
-		v := uint16(a.data[addr]) | uint16(a.data[addr+1])<<8
-		return int64(int16(v))
+		return int64(int16(binary.LittleEndian.Uint16(a.data[addr:])))
 	case 4:
-		v := uint32(a.data[addr]) | uint32(a.data[addr+1])<<8 |
-			uint32(a.data[addr+2])<<16 | uint32(a.data[addr+3])<<24
-		return int64(int32(v))
+		return int64(int32(binary.LittleEndian.Uint32(a.data[addr:])))
 	case 8:
-		var v uint64
-		for i := uint8(0); i < 8; i++ {
-			v |= uint64(a.data[addr+int64(i)]) << (8 * i)
-		}
-		return int64(v)
+		return int64(binary.LittleEndian.Uint64(a.data[addr:]))
 	default:
 		panic(fmt.Sprintf("mem: unsupported read size %d", size))
 	}
@@ -106,10 +100,14 @@ func (a *Arena) Read(addr int64, size uint8) int64 {
 func (a *Arena) Write(addr int64, val int64, size uint8) {
 	a.check(addr, int64(size))
 	switch size {
-	case 1, 2, 4, 8:
-		for i := uint8(0); i < size; i++ {
-			a.data[addr+int64(i)] = byte(uint64(val) >> (8 * i))
-		}
+	case 1:
+		a.data[addr] = byte(val)
+	case 2:
+		binary.LittleEndian.PutUint16(a.data[addr:], uint16(val))
+	case 4:
+		binary.LittleEndian.PutUint32(a.data[addr:], uint32(val))
+	case 8:
+		binary.LittleEndian.PutUint64(a.data[addr:], uint64(val))
 	default:
 		panic(fmt.Sprintf("mem: unsupported write size %d", size))
 	}

@@ -2,21 +2,30 @@ package mem
 
 import "fmt"
 
-// way is one cache way within a set.
-type way struct {
-	line     int64
-	valid    bool
-	lru      uint64 // larger = more recently used
-	prefetch bool   // installed by a prefetch (SW or HW)
-	swPref   bool   // installed by a software prefetch specifically
-	touched  bool   // referenced by a demand access since install
-}
+// A slot packs one cached line with its flags: line<<slotFlagBits | flags.
+// Lines are addr>>lineShift, so the shift cannot overflow, and an
+// arithmetic shift back recovers negative lines.
+const (
+	slotPrefetch uint64 = 1 << iota // installed by a prefetch (SW or HW)
+	slotSWPref                      // installed by a software prefetch specifically
+	slotTouched                     // referenced by a demand access since install
 
-// cache is a single set-associative LRU cache level.
+	slotFlagBits = 3
+	slotFlags    = 1<<slotFlagBits - 1
+)
+
+func slotKey(line int64) uint64 { return uint64(line) << slotFlagBits }
+
+// cache is a single set-associative LRU cache level. Set s owns
+// slots[s*ways : (s+1)*ways]; its first n[s] slots are valid and kept in
+// recency order, most recent first. A hit moves its slot to the front
+// and an install into a full set evicts the last one, so lookup, install
+// and victim choice are one scan of the set.
 type cache struct {
-	sets    [][]way
+	slots   []uint64
+	n       []int32 // valid slots per set
+	ways    int
 	setMask int64
-	lruTick uint64
 }
 
 func newCache(lc LevelConfig) *cache {
@@ -27,42 +36,40 @@ func newCache(lc LevelConfig) *cache {
 	if n&(n-1) != 0 {
 		panic(fmt.Sprintf("mem: %v", lc.Validate()))
 	}
-	sets := make([][]way, n)
-	backing := make([]way, n*lc.Ways)
-	for i := range sets {
-		sets[i] = backing[i*lc.Ways : (i+1)*lc.Ways]
+	return &cache{
+		slots:   make([]uint64, n*lc.Ways),
+		n:       make([]int32, n),
+		ways:    lc.Ways,
+		setMask: int64(n - 1),
 	}
-	return &cache{sets: sets, setMask: int64(n - 1)}
 }
 
-func (c *cache) set(line int64) []way { return c.sets[line&c.setMask] }
+// set returns the valid slots of line's set and the set's index.
+func (c *cache) set(line int64) ([]uint64, int64) {
+	si := line & c.setMask
+	base := int(si) * c.ways
+	return c.slots[base : base+int(c.n[si])], si
+}
 
-// lookup probes for a line; on hit it updates recency and the touched bit
-// (when demand is true) and returns the way.
-func (c *cache) lookup(line int64, demand bool) *way {
-	s := c.sets[line&c.setMask]
-	if len(s) == 1 {
-		// Direct-mapped fast path: one candidate, no associative scan.
-		w := &s[0]
-		if !w.valid || w.line != line {
-			return nil
-		}
-		c.lruTick++
-		w.lru = c.lruTick
-		if demand {
-			w.touched = true
-		}
-		return w
-	}
-	for i := range s {
-		w := &s[i]
-		if w.valid && w.line == line {
-			c.lruTick++
-			w.lru = c.lruTick
+// toFront moves s[i] to s[0], shifting s[:i] down one slot.
+func toFront(s []uint64, i int) {
+	v := s[i]
+	copy(s[1:i+1], s[:i])
+	s[0] = v
+}
+
+// lookup probes for a line; on hit it moves the line to the front of its
+// set, sets the touched bit when demand is true, and returns the slot.
+func (c *cache) lookup(line int64, demand bool) *uint64 {
+	s, _ := c.set(line)
+	key := slotKey(line)
+	for i, v := range s {
+		if v&^slotFlags == key {
 			if demand {
-				w.touched = true
+				s[i] = v | slotTouched
 			}
-			return w
+			toFront(s, i)
+			return &s[0]
 		}
 	}
 	return nil
@@ -76,52 +83,49 @@ type evicted struct {
 	swPrefUnused   bool
 }
 
-// install places a line, evicting the LRU way of its set if needed.
+// install places a line at the front of its set, evicting the least
+// recently used line if the set is full.
 func (c *cache) install(line int64, byPrefetch, bySWPrefetch bool) evicted {
-	s := c.set(line)
-	victim := -1
-	for i := range s {
-		w := &s[i]
-		if w.valid && w.line == line {
+	s, si := c.set(line)
+	key := slotKey(line)
+	for i, v := range s {
+		if v&^slotFlags == key {
 			// Already present: refresh only.
-			c.lruTick++
-			w.lru = c.lruTick
+			toFront(s, i)
 			return evicted{}
 		}
-		if !w.valid {
-			victim = i
-		}
 	}
-	if victim == -1 {
-		best := uint64(1<<64 - 1)
-		for i := range s {
-			if s[i].lru < best {
-				best = s[i].lru
-				victim = i
-			}
-		}
-	}
-	w := &s[victim]
 	ev := evicted{}
-	if w.valid {
+	if len(s) == c.ways {
+		v := s[len(s)-1]
+		untouched := v&slotTouched == 0
 		ev = evicted{
-			line:           w.line,
+			line:           int64(v) >> slotFlagBits,
 			valid:          true,
-			prefetchUnused: w.prefetch && !w.touched,
-			swPrefUnused:   w.swPref && !w.touched,
+			prefetchUnused: v&slotPrefetch != 0 && untouched,
+			swPrefUnused:   v&slotSWPref != 0 && untouched,
 		}
+	} else {
+		c.n[si]++
+		s = s[:len(s)+1]
 	}
-	c.lruTick++
-	*w = way{line: line, valid: true, lru: c.lruTick, prefetch: byPrefetch, swPref: bySWPrefetch}
+	if byPrefetch {
+		key |= slotPrefetch
+	}
+	if bySWPrefetch {
+		key |= slotSWPref
+	}
+	copy(s[1:], s)
+	s[0] = key
 	return ev
 }
 
 // contains probes without updating recency (tests, invariant checks).
 func (c *cache) contains(line int64) bool {
-	s := c.set(line)
-	for i := range s {
-		w := &s[i]
-		if w.valid && w.line == line {
+	s, _ := c.set(line)
+	key := slotKey(line)
+	for _, v := range s {
+		if v&^slotFlags == key {
 			return true
 		}
 	}
@@ -131,12 +135,8 @@ func (c *cache) contains(line int64) bool {
 // countValid returns the number of valid lines (tests).
 func (c *cache) countValid() int {
 	n := 0
-	for _, s := range c.sets {
-		for i := range s {
-			if s[i].valid {
-				n++
-			}
-		}
+	for _, k := range c.n {
+		n += int(k)
 	}
 	return n
 }

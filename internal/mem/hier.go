@@ -386,16 +386,6 @@ func (h *Hierarchy) nextLine(now uint64, line int64) {
 	h.prefetch(now, line+1, KindHWPrefetch)
 }
 
-// Flush drops all cached lines and in-flight fills (between experiment
-// phases). Statistics are preserved.
-func (h *Hierarchy) Flush() {
-	h.l1 = newCache(h.Cfg.L1)
-	h.l2 = newCache(h.Cfg.L2)
-	h.llc = newCache(h.Cfg.LLC)
-	h.mshr = h.mshr[:0]
-	h.dramNextFree = 0
-}
-
 // ResetStats zeroes the counters (after warmup).
 func (h *Hierarchy) ResetStats() { h.Stats = Stats{} }
 

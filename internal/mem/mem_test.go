@@ -331,18 +331,6 @@ func TestIndirectAccessesNotCoveredByHWPrefetch(t *testing.T) {
 	}
 }
 
-func TestFlushDropsCachedState(t *testing.T) {
-	h := New(ConfigTiny(), 1<<16)
-	h.Access(0, 1, 0x100, KindLoad)
-	if !h.L1Contains(0x100) {
-		t.Fatal("line should be cached")
-	}
-	h.Flush()
-	if h.L1Contains(0x100) || h.InFlight() != 0 {
-		t.Fatal("flush should drop lines and fills")
-	}
-}
-
 func TestStallCycleAttribution(t *testing.T) {
 	cfg := ConfigTiny()
 	h := New(cfg, 1<<20)
